@@ -71,14 +71,14 @@ fn study(cfg: &MultiPlaneConfig, topo: &hxtopo::Topology, rail: RailPolicy) {
         r.faulted_throughput / 1e9,
         100.0 * r.throughput_drop(),
         r.faulted_latency * 1e6,
-        r.failures.iter().sum::<u64>(),
-        r.recoveries.iter().sum::<u64>(),
+        r.failures,
+        r.recoveries,
         r.failovers,
         r.skipped,
         r.faulted_completions,
-        r.final_epochs
+        r.planes
             .iter()
-            .map(|e| e.to_string())
+            .map(|p| p.epoch.to_string())
             .collect::<Vec<_>>()
             .join("/"),
         r.fingerprint(),

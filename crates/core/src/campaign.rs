@@ -1,22 +1,37 @@
 //! Fault-churn campaign engine: a deterministic MTBF/MTTR event stream of
-//! cable failures and recoveries driven against a live workload.
+//! cable failures and recoveries driven against a live workload on a
+//! K-plane fabric. A single-plane campaign is the K = 1 case.
 //!
 //! The paper's fail-in-place argument (Section 4.4.3, citing Domke et al.
 //! \[15\]) is about *sustained operation under churn*, not a single snapshot:
 //! cables die, get swapped, and the subnet manager must keep the fabric
-//! routed the whole time. This module closes that loop:
+//! routed the whole time. A K-plane system (one NIC rail per plane) adds
+//! the question the rail layer exists for: when one plane degrades, the
+//! traffic riding it has somewhere else to go *right now*. This module
+//! closes both loops with one engine:
 //!
-//! * a seeded exponential fault process samples failure and repair times
-//!   over the non-terminal cables,
-//! * every event runs through [`SubnetManager::fail_link`] /
+//! * K [`SubnetManager`]s (one per plane) absorb a seeded exponential fault
+//!   process over the non-terminal cables; every event carries a plane id
+//!   and runs through [`SubnetManager::fail_link`] /
 //!   [`SubnetManager::recover_link`] (incremental patch where possible),
-//! * the patched path store is pushed into the running [`Fabric`] via
-//!   [`Fabric::install_pathdb`], and every in-flight flow is re-pathed
-//!   through [`FluidNet::repath`] so the congestion engine's dirty-set
+//! * the patched store is installed into that plane's [`PlaneSet`] shard
+//!   and fabric rail ([`Fabric::install_pathdb`]) — sibling shards' epochs
+//!   never move — and every in-flight flow on the plane is re-pathed
+//!   through [`FluidNet::repath`], so the congestion engine's dirty-set
 //!   machinery re-solves only what the reroute touched,
+//! * flows are plane-tagged: each rides the [`FluidNet`] of the rail a
+//!   [`RailPolicy`] picked at launch. With K >= 2, the flows whose paths
+//!   crossed a dying cable *fail over* to a surviving plane instead of
+//!   waiting out the in-place patch,
 //! * a closed-loop workload (every completion immediately starts a
 //!   replacement flow between a fresh random pair) measures throughput and
 //!   latency degradation against the same workload on the healthy fabric.
+//!
+//! K = 1 draws no plane from the fault stream, builds its rail with the
+//! configured messaging layer like every other K, recomputes rates once
+//! per completion event, and carries no plane tags in traces or sketches.
+//! A recovery the engine cannot route is rolled back by the manager and
+//! counted as a skip (the stepper redraws instead), never a panic.
 //!
 //! Determinism: the fault schedule and the workload consume two independent
 //! `ChaCha8Rng` streams, and both congestion backends solve bit-identical
@@ -25,10 +40,10 @@
 //! Wall-clock reroute latencies are reported but excluded from the
 //! fingerprint.
 
-use hxmpi::{Fabric, Placement, Pml};
+use hxmpi::{Fabric, MultiFabric, Placement, Pml, RailPolicy};
 use hxobs::{Span, SpanCtx};
 use hxroute::engines::RoutingEngine;
-use hxroute::{RouteError, SubnetManager};
+use hxroute::{DirLink, PlaneSet, RouteError, Routes, SubnetManager, SweepReport};
 use hxsim::{FluidNet, NetParams, PathResolver, SolverKind};
 use hxtopo::{LinkClass, LinkId, NodeId, Topology};
 use rand::Rng;
@@ -84,14 +99,73 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Outcome of a campaign: healthy-baseline vs under-churn workload metrics
-/// plus routing-event accounting.
+/// Parameters of one multi-plane fault-churn campaign.
 #[derive(Debug, Clone)]
-pub struct CampaignReport {
+pub struct MultiPlaneConfig {
+    /// Number of planes (NIC rails per node).
+    pub planes: usize,
+    /// Rail-selection policy for launches and failovers.
+    pub rail: RailPolicy,
+    /// Re-resolve affected in-flight flows onto a surviving plane when a
+    /// cable under them dies (the rail-failover path). When off, affected
+    /// flows wait for the in-place patch like single-plane campaigns.
+    pub failover: bool,
+    /// Migrate *every* flow riding a faulted plane, not just those whose
+    /// paths crossed the dead cable. Forces failovers deterministically —
+    /// the CI smoke knob (`--force-failover`).
+    pub force_failover: bool,
+    /// The per-plane knobs (seed, MTBF/MTTR, duration, flows, bytes,
+    /// down-cable cap, congestion engine, messaging layer, demand profile).
+    /// `max_down` caps the whole system's concurrently-downed cables.
+    pub base: CampaignConfig,
+}
+
+impl Default for MultiPlaneConfig {
+    fn default() -> MultiPlaneConfig {
+        MultiPlaneConfig {
+            planes: 2,
+            rail: RailPolicy::RoundRobin,
+            failover: true,
+            force_failover: false,
+            base: CampaignConfig::default(),
+        }
+    }
+}
+
+impl MultiPlaneConfig {
+    /// The K = 1 system a single-plane campaign runs on.
+    fn single(base: &CampaignConfig) -> MultiPlaneConfig {
+        MultiPlaneConfig {
+            planes: 1,
+            base: base.clone(),
+            ..MultiPlaneConfig::default()
+        }
+    }
+}
+
+/// Per-plane slice of a [`CampaignReport`].
+#[derive(Debug, Clone, Default)]
+pub struct PlaneReport {
     /// Routing engine label.
     pub engine: String,
+    /// Cable failures applied on this plane.
+    pub failures: u64,
+    /// Cable recoveries applied on this plane.
+    pub recoveries: u64,
+    /// Flows completed on this plane under churn.
+    pub completions: u64,
+    /// The plane's shard epoch when the campaign ended.
+    pub epoch: u64,
+}
+
+/// Outcome of a campaign: healthy-baseline vs under-churn workload metrics
+/// plus routing-event accounting, system-wide and per plane.
+#[derive(Debug, Clone, Default)]
+pub struct CampaignReport {
     /// Congestion engine label.
     pub solver: &'static str,
+    /// Rail policy label.
+    pub rail: &'static str,
     /// Bytes/second drained with no fault events.
     pub healthy_throughput: f64,
     /// Bytes/second drained under churn.
@@ -116,18 +190,24 @@ pub struct CampaignReport {
     pub failures: u64,
     /// Cable recoveries applied.
     pub recoveries: u64,
-    /// Failures skipped (would disconnect, or `max_down` reached).
+    /// Failures skipped (would disconnect, or `max_down` reached) plus
+    /// recoveries the engine could not route.
     pub skipped: u64,
     /// Fault events absorbed by the incremental patch path.
     pub incremental_events: u64,
     /// Destination trees repaired across all events.
     pub trees_patched: u64,
-    /// Largest number of concurrently-downed cables.
+    /// In-flight flows re-resolved onto a surviving plane.
+    pub failovers: u64,
+    /// Largest number of concurrently-downed cables (system-wide).
     pub max_links_down: usize,
     /// Cables still down when the campaign ended.
     pub links_down_at_end: usize,
-    /// Total wall-clock nanoseconds spent inside fail/recover + repath
-    /// (measurement only — excluded from [`CampaignReport::fingerprint`]).
+    /// Per-plane engines, event counts and final shard epochs.
+    pub planes: Vec<PlaneReport>,
+    /// Total wall-clock nanoseconds spent inside fail/recover, failover
+    /// and repath (measurement only — excluded from
+    /// [`CampaignReport::fingerprint`]).
     pub reroute_ns: u128,
 }
 
@@ -143,7 +223,8 @@ impl CampaignReport {
     }
 
     /// FNV-1a over every deterministic field (rate bits included, wall
-    /// clock excluded): byte-equal across congestion backends per seed.
+    /// clock and tails excluded): byte-equal across congestion backends
+    /// per seed.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -152,7 +233,7 @@ impl CampaignReport {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        eat(self.engine.as_bytes());
+        eat(self.rail.as_bytes());
         for v in [
             self.healthy_throughput,
             self.faulted_throughput,
@@ -169,22 +250,44 @@ impl CampaignReport {
             self.skipped,
             self.incremental_events,
             self.trees_patched,
+            self.failovers,
             self.max_links_down as u64,
             self.links_down_at_end as u64,
         ] {
             eat(&v.to_le_bytes());
         }
+        for p in &self.planes {
+            eat(p.engine.as_bytes());
+            for v in [p.failures, p.recoveries, p.completions, p.epoch] {
+                eat(&v.to_le_bytes());
+            }
+        }
         h
+    }
+
+    /// Books one applied fail/recover patch on plane `p`.
+    fn note(&mut self, p: usize, r: &SweepReport, fail: bool) {
+        if fail {
+            self.failures += 1;
+            self.planes[p].failures += 1;
+        } else {
+            self.recoveries += 1;
+            self.planes[p].recoveries += 1;
+        }
+        self.trees_patched += r.patched_trees as u64;
+        self.incremental_events += r.incremental as u64;
     }
 }
 
-/// One in-flight closed-loop flow: the pair it connects and its start time.
-#[derive(Debug, Clone, Copy)]
+/// One in-flight plane-tagged flow: the rank pair, launch metadata, and
+/// the resolved hops (kept for the affected-by-victim failover check).
+#[derive(Debug, Clone)]
 struct FlowCtx {
     src: usize,
     dst: usize,
     seq: u64,
     started: f64,
+    hops: Vec<DirLink>,
 }
 
 /// Stream-separation constants: the workload and the fault schedule derive
@@ -192,278 +295,367 @@ struct FlowCtx {
 const WORK_STREAM: u64 = 0x9e37_79b9_7f4a_7c15;
 const FAULT_STREAM: u64 = 0x5851_f42d_4c95_7f2d;
 
-/// Live epoch propagation shared by the campaign loop and the
-/// [`CampaignStepper`]: installs the manager's freshly-patched path store
-/// into the fabric and re-paths every in-flight flow through it. With
-/// observability on, the work emits `repath` and `resolve` spans under
-/// `parent` (the campaign `step`), completing the causal chain
-/// `step → fail_link → pathdb_patch → repath → resolve`.
-fn propagate_epoch(
-    sm: &SubnetManager,
-    fabric: &Fabric<'_>,
-    net: &mut FluidNet,
-    ctx: &[Option<FlowCtx>],
-    bytes: u64,
-    parent: SpanCtx,
-) {
-    let Some(db) = sm.pathdb() else {
-        // A manager without a store (mid-bring-up race) has nothing to
-        // propagate; the fabric keeps routing on its previous epoch. This
-        // is unreachable from the campaign loop — which only calls in
-        // after a successful sweep — but a daemon embedding the stepper
-        // must degrade, not crash.
-        debug_assert!(false, "propagate_epoch before the first sweep");
-        return;
-    };
-    fabric.install_pathdb(db.clone());
-    net.set_obs_epoch(db.epoch());
-    if let Some(o) = hxobs::sink() {
-        use hxobs::Recorder;
-        o.gauge_set("pathdb.epoch", db.epoch() as f64);
-    }
-    let mut repath_sp = Span::under(parent, hxobs::track::RUNNER, 0, "repath", "campaign");
-    repath_sp.set_epoch(db.epoch());
-    let mut repathed = 0u64;
-    for (id, c) in ctx.iter().enumerate() {
-        let Some(c) = c else { continue };
-        let rp = fabric.resolve(c.src, c.dst, bytes, c.seq);
-        net.repath(id, &rp.hops);
-        repathed += 1;
-    }
-    repath_sp.arg("flows", hxobs::Json::from(repathed));
-    repath_sp.end();
-    let mut resolve_sp = Span::under(parent, hxobs::track::RUNNER, 0, "resolve", "campaign");
-    resolve_sp.set_epoch(db.epoch());
-    net.recompute();
-    resolve_sp.end();
-}
-
 /// Exponential inter-arrival sample (inverse CDF; `1 - u` dodges `ln(0)`).
 fn exp_sample(rng: &mut ChaCha8Rng, mean: f64) -> f64 {
     -mean * (1.0 - rng.gen::<f64>()).ln()
 }
 
-/// Starts one closed-loop flow between a fresh random distinct-rank pair.
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    fabric: &Fabric<'_>,
-    bytes: u64,
-    n: usize,
-    net: &mut FluidNet,
-    ctx: &mut Vec<Option<FlowCtx>>,
-    rng: &mut ChaCha8Rng,
-    now: f64,
-    seq: &mut u64,
-) {
-    let src = rng.gen_range(0..n);
-    let mut dst = rng.gen_range(0..n - 1);
-    if dst >= src {
-        dst += 1;
-    }
-    let rp = fabric.resolve(src, dst, bytes, *seq);
-    let id = net.add_flow(rp.hops, bytes);
-    let c = FlowCtx {
-        src,
-        dst,
-        seq: *seq,
-        started: now,
-    };
-    *seq += 1;
-    if id == ctx.len() {
-        ctx.push(Some(c));
-    } else {
-        ctx[id] = Some(c);
-    }
+/// The live K-plane system: K managers, K fluid nets, the sharded store
+/// handle, and the rail-selecting fabric bundle.
+struct ChurnSystem<'a> {
+    sms: Vec<SubnetManager>,
+    mf: &'a MultiFabric<'a>,
+    set: PlaneSet,
+    nets: Vec<FluidNet>,
+    /// Per-plane flow contexts, indexed by that plane's net flow id.
+    ctx: Vec<Vec<Option<FlowCtx>>>,
+    cfg: MultiPlaneConfig,
+    seq: u64,
 }
 
-/// The closed-loop workload simulator: runs `cfg.flows` concurrent random
-/// pair flows for `cfg.duration`, with an optional fault process mutating
-/// the subnet manager underneath. Returns the workload metrics plus event
-/// accounting (all zero when `churn` is off).
-struct CampaignRun<'a> {
-    sm: &'a mut SubnetManager,
-    fabric: &'a Fabric<'a>,
-    cfg: &'a CampaignConfig,
-    report: &'a mut CampaignReport,
-}
+impl ChurnSystem<'_> {
+    /// A `campaign` span for work on plane `p`: a root when `parent` is
+    /// `None`, else its child. Multi-plane systems stamp the plane id.
+    fn span(&self, p: usize, parent: Option<SpanCtx>, name: &'static str) -> Span {
+        let mut sp = match parent {
+            Some(c) => Span::under(c, hxobs::track::RUNNER, 0, name, "campaign"),
+            None => Span::root(hxobs::track::RUNNER, 0, name, "campaign"),
+        };
+        if let Some(tag) = self.sms[p].plane {
+            sp.set_plane(tag);
+        }
+        sp
+    }
 
-impl CampaignRun<'_> {
-    /// Applies one fault-process event at simulated time `t`, returning the
-    /// victim's repair time if a cable actually went down.
-    fn apply_failure(
-        &mut self,
-        net: &mut FluidNet,
-        ctx: &[Option<FlowCtx>],
-        fault_rng: &mut ChaCha8Rng,
-        down_count: usize,
-    ) -> Option<LinkId> {
-        let candidates: Vec<LinkId> = self
-            .sm
-            .topo()
-            .links()
-            .filter(|&(id, l)| l.class != LinkClass::Terminal && self.sm.topo().is_active(id))
-            .map(|(id, _)| id)
+    /// Rebuilds fresh fluid nets and launches the configured closed-loop
+    /// flows — each workload phase (healthy baseline, churn replay) starts
+    /// from the same initial population.
+    fn reset(&mut self, work_rng: &mut ChaCha8Rng) {
+        self.nets = (0..self.cfg.planes)
+            .map(|p| {
+                let mut net = FluidNet::with_solver(self.mf.rail(p).topo, self.cfg.base.solver);
+                if let Some(tag) = self.sms[p].plane {
+                    net.set_plane(tag);
+                }
+                net.set_obs_epoch(self.set.epoch(p));
+                net
+            })
             .collect();
-        if candidates.is_empty() || down_count >= self.cfg.max_down {
-            self.report.skipped += 1;
+        self.ctx = vec![Vec::new(); self.cfg.planes];
+        self.seq = 0;
+        for _ in 0..self.cfg.base.flows {
+            self.launch(work_rng, 0.0);
+        }
+        for net in &mut self.nets {
+            net.recompute();
+        }
+    }
+
+    /// Starts one closed-loop flow between a fresh random distinct-rank
+    /// pair on the rail the policy picks.
+    fn launch(&mut self, rng: &mut ChaCha8Rng, now: f64) {
+        let n = self.mf.rail(0).placement.num_ranks();
+        let src = rng.gen_range(0..n);
+        let mut dst = rng.gen_range(0..n - 1);
+        if dst >= src {
+            dst += 1;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        let flow = FlowCtx {
+            src,
+            dst,
+            seq,
+            started: now,
+            hops: Vec::new(),
+        };
+        let plane = self.mf.select_rail(src, dst, seq);
+        self.add(plane, flow, self.cfg.base.bytes);
+    }
+
+    /// Resolves `flow` on `plane` and adds it to that plane's net.
+    fn add(&mut self, plane: usize, mut flow: FlowCtx, bytes: u64) {
+        let rp = self
+            .mf
+            .resolve_on(plane, flow.src, flow.dst, bytes, flow.seq);
+        flow.hops = rp.hops.clone();
+        let id = self.nets[plane].add_flow(rp.hops, bytes);
+        let ctx = &mut self.ctx[plane];
+        if id == ctx.len() {
+            ctx.push(Some(flow));
+        } else {
+            ctx[id] = Some(flow);
+        }
+    }
+
+    /// The active non-terminal cables of plane `p` (fault candidates).
+    fn candidates(&self, p: usize) -> Vec<LinkId> {
+        let topo = self.sms[p].topo();
+        topo.links()
+            .filter(|&(id, l)| l.class != LinkClass::Terminal && topo.is_active(id))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// Live epoch propagation: installs plane `p`'s freshly-patched store
+    /// into its shard and rail, then re-paths that plane's surviving flows
+    /// through it. With observability on, the work emits `repath` and
+    /// `resolve` spans under `parent` (the campaign `step`), completing the
+    /// causal chain `step → fail_link → pathdb_patch → repath → resolve`.
+    fn propagate(&mut self, p: usize, parent: SpanCtx) {
+        let Some(db) = self.sms[p].pathdb().cloned() else {
+            // Unreachable after the sweep every system starts from, but a
+            // daemon embedding the stepper must degrade, not crash.
+            debug_assert!(false, "propagate before the first sweep");
+            return;
+        };
+        self.set.install(p, db.clone());
+        self.mf.rail(p).install_pathdb(db.clone());
+        self.nets[p].set_obs_epoch(db.epoch());
+        if let Some(o) = hxobs::sink() {
+            use hxobs::Recorder;
+            o.gauge_set("pathdb.epoch", db.epoch() as f64);
+        }
+        let mut sp = self.span(p, Some(parent), "repath");
+        sp.set_epoch(db.epoch());
+        let mut repathed = 0u64;
+        let rail = self.mf.rail(p);
+        for (id, flow) in self.ctx[p].iter_mut().enumerate() {
+            let Some(flow) = flow else { continue };
+            let rp = rail.resolve(flow.src, flow.dst, self.cfg.base.bytes, flow.seq);
+            self.nets[p].repath(id, &rp.hops);
+            flow.hops = rp.hops;
+            repathed += 1;
+        }
+        sp.arg("flows", hxobs::Json::from(repathed));
+        sp.end();
+        let mut resolve_sp = self.span(p, Some(parent), "resolve");
+        resolve_sp.set_epoch(db.epoch());
+        self.nets[p].recompute();
+        resolve_sp.end();
+    }
+
+    /// Rail failover: moves flows off plane `p` onto a surviving plane,
+    /// preserving their remaining bytes. Without `force_failover` only
+    /// flows whose current path crosses `victim` move; with it, every flow
+    /// on the plane does. Returns how many flows migrated (0 when no other
+    /// plane is healthy, e.g. K = 1).
+    fn failover(&mut self, p: usize, victim: LinkId, parent: SpanCtx) -> u64 {
+        if self.mf.healthy_planes().iter().all(|&q| q == p) {
+            return 0; // nowhere to go
+        }
+        let mut sp = self.span(p, Some(parent), "failover");
+        sp.arg("link", hxobs::Json::from(victim.0 as u64));
+        // The faulted plane must not win selection for the migrating flows.
+        self.mf.fail_plane(p);
+        let all = self.cfg.force_failover;
+        let mut moved = 0u64;
+        for id in 0..self.ctx[p].len() {
+            let affected = match &self.ctx[p][id] {
+                Some(f) => all || f.hops.iter().any(|h| h.link() == victim),
+                None => continue,
+            };
+            if !affected {
+                continue;
+            }
+            let flow = self.ctx[p][id].take().expect("checked above");
+            let remaining = (self.nets[p].flow_remaining(id).unwrap_or(0.0) as u64).max(1);
+            self.nets[p].remove(id);
+            let q = self.mf.select_rail(flow.src, flow.dst, flow.seq);
+            self.add(q, flow, remaining);
+            self.nets[q].recompute();
+            moved += 1;
+        }
+        if moved > 0 {
+            self.nets[p].recompute();
+        }
+        self.mf.recover_plane(p);
+        hxobs::count("campaign.failovers", moved);
+        sp.arg("flows", hxobs::Json::from(moved));
+        sp.end();
+        moved
+    }
+
+    /// Kills `victim` on plane `p`, fails affected flows over, and
+    /// propagates the patched shard. Returns the patch and the failover
+    /// count; on error (a disconnecting kill) the manager rolled back.
+    fn fail(
+        &mut self,
+        p: usize,
+        victim: LinkId,
+        step: SpanCtx,
+    ) -> Result<(SweepReport, u64), RouteError> {
+        let r = self.sms[p].fail_link_spanned(victim, step)?;
+        let moved = if self.cfg.failover {
+            self.failover(p, victim, step)
+        } else {
+            0
+        };
+        self.propagate(p, step);
+        Ok((r, moved))
+    }
+
+    /// Restores `l` on plane `p` and propagates the patched shard. On
+    /// error (the engine failed to re-route the restored fabric) the
+    /// manager rolled back to its previous, already-propagated state.
+    fn recover(&mut self, p: usize, l: LinkId, step: SpanCtx) -> Result<SweepReport, RouteError> {
+        let r = self.sms[p].recover_link_spanned(l, step)?;
+        self.propagate(p, step);
+        Ok(r)
+    }
+
+    /// One scheduled fault-process failure on plane `p`: returns the victim
+    /// if a cable actually went down.
+    fn fail_event(
+        &mut self,
+        report: &mut CampaignReport,
+        p: usize,
+        fault_rng: &mut ChaCha8Rng,
+        down: usize,
+    ) -> Option<LinkId> {
+        let candidates = self.candidates(p);
+        if candidates.is_empty() || down >= self.cfg.base.max_down {
+            report.skipped += 1;
             return None;
         }
         let victim = candidates[fault_rng.gen_range(0..candidates.len())];
         let t0 = std::time::Instant::now();
-        let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
-        step_sp.arg("kind", hxobs::Json::from("fail"));
-        step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
-        step_sp.arg("engine", hxobs::Json::from(self.sm.engine_name()));
-        let step = step_sp.ctx();
-        match self.sm.fail_link_spanned(victim, step) {
-            Ok(r) => {
-                self.report.failures += 1;
-                self.report.trees_patched += r.patched_trees as u64;
-                if r.incremental {
-                    self.report.incremental_events += 1;
-                }
-                self.propagate(net, ctx, step);
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.set_epoch(r.epoch);
-                step_sp.end();
+        let mut sp = self.step_span(p, "fail", victim);
+        let result = self.fail(p, victim, sp.ctx());
+        report.reroute_ns += t0.elapsed().as_nanos();
+        let downed = match result {
+            Ok((r, moved)) => {
+                report.note(p, &r, true);
+                report.failovers += moved;
+                sp.set_epoch(r.epoch);
                 Some(victim)
             }
             Err(_) => {
-                // Disconnecting kill: rolled back inside fail_link.
-                self.report.skipped += 1;
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.arg("rolled_back", hxobs::Json::from(true));
-                step_sp.end();
+                report.skipped += 1;
+                sp.arg("rolled_back", hxobs::Json::from(true));
                 None
             }
-        }
+        };
+        sp.end();
+        downed
     }
 
-    /// Recovers a downed cable and propagates the new epoch.
-    fn apply_recovery(&mut self, net: &mut FluidNet, ctx: &[Option<FlowCtx>], l: LinkId) {
+    /// One repair event: restores `l` on plane `p`. A recovery the engine
+    /// cannot route is counted as a skip and the campaign carries on.
+    fn recover_event(&mut self, report: &mut CampaignReport, p: usize, l: LinkId) {
         let t0 = std::time::Instant::now();
-        let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
-        step_sp.arg("kind", hxobs::Json::from("recover"));
-        step_sp.arg("link", hxobs::Json::from(l.0 as u64));
-        step_sp.arg("engine", hxobs::Json::from(self.sm.engine_name()));
-        let step = step_sp.ctx();
-        match self.sm.recover_link_spanned(l, step) {
+        let mut sp = self.step_span(p, "recover", l);
+        let result = self.recover(p, l, sp.ctx());
+        report.reroute_ns += t0.elapsed().as_nanos();
+        match result {
             Ok(r) => {
-                self.report.recoveries += 1;
-                self.report.trees_patched += r.patched_trees as u64;
-                if r.incremental {
-                    self.report.incremental_events += 1;
-                }
-                self.propagate(net, ctx, step);
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.set_epoch(r.epoch);
-                step_sp.end();
+                report.note(p, &r, false);
+                sp.set_epoch(r.epoch);
             }
             Err(e) => {
-                // Recovery re-adds capacity, so this only fires when the
-                // engine itself fails to re-route (e.g. VL overflow on the
-                // fallback resweep). recover_link rolled back to the
-                // previous consistent state; count the skip and keep the
-                // campaign alive instead of crashing it.
-                self.report.skipped += 1;
-                self.report.reroute_ns += t0.elapsed().as_nanos();
-                step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
-                step_sp.end();
+                report.skipped += 1;
+                sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
             }
         }
+        sp.end();
     }
 
-    /// Live epoch propagation: installs the freshly-patched path store into
-    /// the fabric and re-paths every in-flight flow through it.
-    fn propagate(&mut self, net: &mut FluidNet, ctx: &[Option<FlowCtx>], parent: SpanCtx) {
-        propagate_epoch(self.sm, self.fabric, net, ctx, self.cfg.bytes, parent);
+    /// The root `step` span of one scheduled fault-process event.
+    fn step_span(&self, p: usize, kind: &str, link: LinkId) -> Span {
+        let mut sp = self.span(p, None, "step");
+        sp.arg("kind", hxobs::Json::from(kind));
+        sp.arg("link", hxobs::Json::from(link.0 as u64));
+        sp.arg("engine", hxobs::Json::from(self.sms[p].engine_name()));
+        sp
     }
 
-    /// Runs the closed-loop workload; `churn` switches the fault process on.
-    /// Returns (throughput bytes/s, mean latency s, completions, completion
-    /// tail quantiles µs).
-    fn run(&mut self, churn: bool) -> (f64, f64, u64, Option<[f64; 4]>) {
-        let cfg = self.cfg;
-        let n = self.fabric.placement.num_ranks();
+    /// Runs the closed-loop workload over the K nets; `churn` switches the
+    /// plane-tagged fault process on. Fills the report's faulted or
+    /// healthy side accordingly, then heals every plane so back-to-back
+    /// runs see the same starting state.
+    fn run(&mut self, report: &mut CampaignReport, churn: bool) {
+        let planes = self.cfg.planes;
+        let base = self.cfg.base.clone();
         // Independent streams: the workload draw sequence must not shift
         // when the fault schedule consumes differently (and vice versa).
-        let mut work_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM);
-        let mut fault_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM);
-        let mut net = FluidNet::with_solver(self.fabric.topo, cfg.solver);
-        let mut ctx: Vec<Option<FlowCtx>> = Vec::new();
-        let mut seq = 0u64;
-        for _ in 0..cfg.flows {
-            launch(
-                self.fabric,
-                cfg.bytes,
-                n,
-                &mut net,
-                &mut ctx,
-                &mut work_rng,
-                0.0,
-                &mut seq,
-            );
-        }
-        net.recompute();
-
+        let mut work_rng = ChaCha8Rng::seed_from_u64(base.seed ^ WORK_STREAM);
+        let mut fault_rng = ChaCha8Rng::seed_from_u64(base.seed ^ FAULT_STREAM);
+        self.reset(&mut work_rng);
         let mut bytes_done = 0u64;
         let mut completions = 0u64;
         let mut latency_sum = 0.0f64;
         // Local tail sketch: per-run (the global registry keys by epoch,
         // which collides when a tournament replays many engines).
         let mut tail = hxobs::Sketch::new();
-        let mut next_fail = churn.then(|| exp_sample(&mut fault_rng, cfg.mtbf));
-        // Downed cables with their scheduled repair times, kept sorted by
-        // insertion; the earliest repair is scanned out (the list stays
-        // tiny: at most `max_down`).
-        let mut down: Vec<(f64, LinkId)> = Vec::new();
+        let mut next_fail = churn.then(|| exp_sample(&mut fault_rng, base.mtbf));
+        // Downed cables with their scheduled repair times and planes; the
+        // earliest repair is scanned out (at most `max_down` entries).
+        let mut down: Vec<(f64, usize, LinkId)> = Vec::new();
         let mut drained: Vec<usize> = Vec::new();
 
         loop {
-            let t_complete = net.next_completion().unwrap_or(f64::INFINITY);
+            let t_complete = self
+                .nets
+                .iter_mut()
+                .filter_map(|net| net.next_completion())
+                .fold(f64::INFINITY, f64::min);
             let t_fail = next_fail.unwrap_or(f64::INFINITY);
-            let t_repair = down.iter().map(|&(t, _)| t).fold(f64::INFINITY, f64::min);
+            let t_repair = down.iter().map(|d| d.0).fold(f64::INFINITY, f64::min);
             let t = t_complete.min(t_fail).min(t_repair);
-            if t >= cfg.duration {
-                net.advance_to(cfg.duration);
+            let stop = t >= base.duration;
+            for net in &mut self.nets {
+                net.advance_to(if stop { base.duration } else { t });
+            }
+            if stop {
                 break;
             }
-            net.advance_to(t);
             if t_complete <= t_fail && t_complete <= t_repair {
-                net.drained_into(&mut drained);
-                let epoch = self.sm.epoch();
-                for &id in &drained {
-                    let c = ctx[id].take().expect("drained flow has context");
-                    bytes_done += cfg.bytes;
-                    completions += 1;
-                    latency_sum += t - c.started;
-                    // Per-epoch tail of simulated flow completion times.
-                    hxobs::sketch_record("flow.completion_us", epoch, (t - c.started) * 1e6);
-                    tail.record((t - c.started) * 1e6);
-                    net.remove(id);
+                let mut finished = 0usize;
+                for p in 0..planes {
+                    self.nets[p].drained_into(&mut drained);
+                    let epoch = self.set.epoch(p);
+                    for &id in &drained {
+                        let c = self.ctx[p][id].take().expect("drained flow has context");
+                        let us = (t - c.started) * 1e6;
+                        bytes_done += base.bytes;
+                        completions += 1;
+                        latency_sum += t - c.started;
+                        if churn {
+                            report.planes[p].completions += 1;
+                        }
+                        // Per-epoch tail of simulated flow completion times.
+                        match self.sms[p].plane {
+                            Some(tag) => {
+                                hxobs::sketch_record_plane("flow.completion_us", epoch, tag, us)
+                            }
+                            None => hxobs::sketch_record("flow.completion_us", epoch, us),
+                        }
+                        tail.record(us);
+                        self.nets[p].remove(id);
+                    }
+                    finished += drained.len();
                 }
-                // Closed loop: replacements keep the offered load constant.
-                for _ in 0..drained.len() {
-                    launch(
-                        self.fabric,
-                        cfg.bytes,
-                        n,
-                        &mut net,
-                        &mut ctx,
-                        &mut work_rng,
-                        t,
-                        &mut seq,
-                    );
+                // Closed loop: replacements keep the offered load constant
+                // (rail policy re-selects, so a recovered plane wins back
+                // traffic here). One re-solve per net per event.
+                for _ in 0..finished {
+                    self.launch(&mut work_rng, t);
                 }
-                net.recompute();
+                for net in &mut self.nets {
+                    net.recompute();
+                }
             } else if t_fail <= t_repair {
-                if let Some(victim) = self.apply_failure(&mut net, &ctx, &mut fault_rng, down.len())
-                {
-                    down.push((t + exp_sample(&mut fault_rng, cfg.mttr), victim));
-                    self.report.max_links_down = self.report.max_links_down.max(down.len());
+                let p = if planes > 1 {
+                    fault_rng.gen_range(0..planes)
+                } else {
+                    0
+                };
+                if let Some(victim) = self.fail_event(report, p, &mut fault_rng, down.len()) {
+                    down.push((t + exp_sample(&mut fault_rng, base.mttr), p, victim));
+                    report.max_links_down = report.max_links_down.max(down.len());
                 }
                 hxobs::gauge("campaign.links_down", down.len() as f64);
-                next_fail = Some(t + exp_sample(&mut fault_rng, cfg.mtbf));
+                next_fail = Some(t + exp_sample(&mut fault_rng, base.mtbf));
             } else {
                 let i = down
                     .iter()
@@ -471,37 +663,44 @@ impl CampaignRun<'_> {
                     .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
                     .map(|(i, _)| i)
                     .expect("repair event requires a downed cable");
-                let (_, l) = down.swap_remove(i);
-                self.apply_recovery(&mut net, &ctx, l);
+                let (_, p, l) = down.swap_remove(i);
+                self.recover_event(report, p, l);
                 hxobs::gauge("campaign.links_down", down.len() as f64);
             }
         }
         // Account the tail: bytes moved by still-running flows count toward
         // throughput (the workload is a sustained stream, not a batch).
-        for (id, c) in ctx.iter().enumerate() {
-            if c.is_some() {
-                let left = net.flow_remaining(id).unwrap_or(0.0);
-                bytes_done += cfg.bytes.saturating_sub(left as u64);
+        for (net, ctx) in self.nets.iter().zip(&self.ctx) {
+            for (id, c) in ctx.iter().enumerate() {
+                if c.is_some() {
+                    let left = net.flow_remaining(id).unwrap_or(0.0);
+                    bytes_done += base.bytes.saturating_sub(left as u64);
+                }
             }
         }
-        self.report.links_down_at_end = down.len();
-        // Heal the fabric so a faulted run leaves the manager as it found
-        // it (and the healthy baseline can run in either order). These are
-        // ordinary recovery events and count as such.
-        for (_, l) in std::mem::take(&mut down) {
-            self.apply_recovery(&mut net, &ctx, l);
+        report.links_down_at_end = down.len();
+        // Heal the fabric so a faulted run leaves the managers as it found
+        // them. These are ordinary recovery events and count as such.
+        for (_, p, l) in std::mem::take(&mut down) {
+            self.recover_event(report, p, l);
         }
+        let throughput = bytes_done as f64 / base.duration;
         let latency = if completions > 0 {
             latency_sum / completions as f64
         } else {
             f64::INFINITY
         };
-        (
-            bytes_done as f64 / cfg.duration,
-            latency,
-            completions,
-            tail.tail(),
-        )
+        if churn {
+            report.faulted_throughput = throughput;
+            report.faulted_latency = latency;
+            report.faulted_completions = completions;
+            report.faulted_tail = tail.tail();
+        } else {
+            report.healthy_throughput = throughput;
+            report.healthy_latency = latency;
+            report.healthy_completions = completions;
+            report.healthy_tail = tail.tail();
+        }
     }
 }
 
@@ -550,82 +749,124 @@ fn apply_demand_trigger(sm: &mut SubnetManager, cfg: &CampaignConfig) -> Result<
     }
 }
 
+/// Builds the K-plane live system (managers swept and demand-triggered,
+/// rails bundled with the configured messaging layer) and hands it to `f`
+/// — the borrow-friendly shape for the fabric's internal lifetimes.
+fn with_system<R>(
+    topo: &Topology,
+    mut engine_for: impl FnMut(usize) -> Box<dyn RoutingEngine>,
+    cfg: &MultiPlaneConfig,
+    f: impl FnOnce(ChurnSystem<'_>) -> R,
+) -> Result<R, RouteError> {
+    assert!(cfg.planes >= 1, "a campaign needs at least one plane");
+    let mut sms = Vec::with_capacity(cfg.planes);
+    for p in 0..cfg.planes {
+        let mut sm = SubnetManager::new(topo.clone(), engine_for(p));
+        sm.verify = false; // throughput study; correctness pinned by tests
+        sm.plane = (cfg.planes > 1).then_some(p as u32);
+        sm.sweep()?;
+        apply_demand_trigger(&mut sm, &cfg.base)?;
+        sms.push(sm);
+    }
+    let states: Vec<(Topology, Routes)> = sms
+        .iter()
+        .map(|sm| (sm.topo().clone(), sm.routes().expect("swept").clone()))
+        .collect();
+    let nodes: Vec<NodeId> = states[0].0.nodes().collect();
+    let placement = Placement::linear(&nodes, nodes.len());
+    let dbs: Vec<_> = sms
+        .iter()
+        .map(|sm| sm.pathdb().expect("swept").clone())
+        .collect();
+    let rails: Vec<Fabric<'_>> = states
+        .iter()
+        .zip(&dbs)
+        .map(|((t, r), db)| {
+            Fabric::with_pathdb(
+                t,
+                r,
+                placement.clone(),
+                cfg.base.pml.clone(),
+                NetParams::qdr().with_solver(cfg.base.solver),
+                db.clone(),
+            )
+        })
+        .collect();
+    let mf = MultiFabric::new(rails, cfg.rail);
+    Ok(f(ChurnSystem {
+        sms,
+        mf: &mf,
+        set: PlaneSet::new(dbs),
+        nets: Vec::new(),
+        ctx: Vec::new(),
+        cfg: cfg.clone(),
+        seq: 0,
+    }))
+}
+
 /// Runs a full campaign on one plane: sweeps the topology with `engine`
 /// (applying the optional demand profile through the SAR trigger),
 /// measures the healthy closed-loop baseline, then replays the same
-/// workload under the seeded MTBF/MTTR churn process.
+/// workload under the seeded MTBF/MTTR churn process. The K = 1 case of
+/// [`run_multiplane_campaign`].
 pub fn run_campaign(
     topo: &Topology,
     engine: Box<dyn RoutingEngine>,
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, RouteError> {
-    let mut sm = SubnetManager::new(topo.clone(), engine);
-    sm.verify = false; // throughput study; correctness pinned by tests
-    sm.sweep()?;
-    apply_demand_trigger(&mut sm, cfg)?;
-    let fab_topo = sm.topo().clone();
-    let fab_routes = sm.routes().expect("swept").clone();
-    let nodes: Vec<NodeId> = fab_topo.nodes().collect();
-    let n = nodes.len();
-    let fabric = Fabric::with_pathdb(
-        &fab_topo,
-        &fab_routes,
-        Placement::linear(&nodes, n),
-        cfg.pml.clone(),
-        NetParams::qdr().with_solver(cfg.solver),
-        sm.pathdb().expect("swept").clone(),
-    );
-    let mut report = CampaignReport {
-        engine: fab_routes.engine.to_string(),
-        solver: cfg.solver.label(),
-        healthy_throughput: 0.0,
-        faulted_throughput: 0.0,
-        healthy_latency: 0.0,
-        faulted_latency: 0.0,
-        healthy_tail: None,
-        faulted_tail: None,
-        healthy_completions: 0,
-        faulted_completions: 0,
-        failures: 0,
-        recoveries: 0,
-        skipped: 0,
-        incremental_events: 0,
-        trees_patched: 0,
-        max_links_down: 0,
-        links_down_at_end: 0,
-        reroute_ns: 0,
-    };
-    {
-        let mut run = CampaignRun {
-            sm: &mut sm,
-            fabric: &fabric,
-            cfg,
-            report: &mut report,
-        };
-        let (tp, lat, done, tail) = run.run(false);
-        run.report.healthy_throughput = tp;
-        run.report.healthy_latency = lat;
-        run.report.healthy_completions = done;
-        run.report.healthy_tail = tail;
-        let (tp, lat, done, tail) = run.run(true);
-        run.report.faulted_throughput = tp;
-        run.report.faulted_latency = lat;
-        run.report.faulted_completions = done;
-        run.report.faulted_tail = tail;
-    }
-    if let Some(o) = hxobs::sink() {
-        use hxobs::Recorder;
-        o.counter_add("campaign.failures", report.failures);
-        o.counter_add("campaign.recoveries", report.recoveries);
-        o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
-    }
-    Ok(report)
+    let mut engine = Some(engine);
+    run_multiplane_campaign(
+        topo,
+        |_| engine.take().expect("one plane"),
+        &MultiPlaneConfig::single(cfg),
+    )
 }
 
-/// Outcome of one [`CampaignStepper::step`]: what the fail → propagate →
-/// recover → propagate round-trip did.
+/// Runs a full multi-plane campaign: K planes of `topo` routed by
+/// `engine_for(p)`, a healthy closed-loop baseline, then the same workload
+/// under plane-tagged churn with rail failover.
+pub fn run_multiplane_campaign(
+    topo: &Topology,
+    engine_for: impl FnMut(usize) -> Box<dyn RoutingEngine>,
+    cfg: &MultiPlaneConfig,
+) -> Result<CampaignReport, RouteError> {
+    with_system(topo, engine_for, cfg, |mut sys| {
+        let mut report = CampaignReport {
+            solver: cfg.base.solver.label(),
+            rail: cfg.rail.label(),
+            planes: sys
+                .sms
+                .iter()
+                .map(|sm| PlaneReport {
+                    engine: sm.routes().expect("swept").engine.to_string(),
+                    ..PlaneReport::default()
+                })
+                .collect(),
+            ..CampaignReport::default()
+        };
+        // Healthy baseline first, then the same workload replayed under
+        // churn on the healed system.
+        sys.run(&mut report, false);
+        sys.run(&mut report, true);
+        for (p, pr) in report.planes.iter_mut().enumerate() {
+            pr.epoch = sys.set.epoch(p);
+        }
+        if let Some(o) = hxobs::sink() {
+            use hxobs::Recorder;
+            o.counter_add("campaign.failures", report.failures);
+            o.counter_add("campaign.recoveries", report.recoveries);
+            o.histogram_record("campaign.reroute_ns", report.reroute_ns as f64);
+        }
+        report
+    })
+}
+
+/// Outcome of one [`CampaignStepper::step`]: what the fail → failover →
+/// propagate → recover → propagate round-trip did.
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
+    /// The plane the step degraded and healed.
+    pub plane: usize,
     /// The cable the step killed and restored.
     pub victim: LinkId,
     /// Destination trees repaired across the fail and recover patches.
@@ -634,166 +875,122 @@ pub struct StepReport {
     pub fail_incremental: bool,
     /// Whether the recovery was absorbed by the incremental patch path.
     pub recover_incremental: bool,
-    /// Path-store epoch after the step.
+    /// In-flight flows the step re-resolved onto surviving planes.
+    pub failovers: u64,
+    /// The plane's path-store epoch after the step.
     pub epoch: u64,
 }
 
-/// A live campaign system exposing one fault-churn event at a time — the
-/// single-step hook behind `hxperf`'s `campaign_step` kernel and any
-/// driver that wants to interleave churn with its own logic.
+/// The multi-plane name of [`StepReport`].
+pub type MultiStepReport = StepReport;
+
+/// A live campaign system exposing one churn round-trip at a time — the
+/// single-step hook behind `hxperf`'s `campaign_step` and `rail_failover`
+/// kernels and any driver that wants to interleave churn with its own
+/// logic.
 ///
-/// Construction (via [`with_stepper`]) sweeps the topology, builds a
-/// fabric sharing the manager's path store, and launches the configured
-/// closed-loop flows. Each [`step`](CampaignStepper::step) then performs
-/// exactly one full churn round-trip on the live system: kill a random
-/// active non-terminal cable ([`SubnetManager::fail_link`]), propagate the
-/// patched epoch into the fabric and re-path every in-flight flow, restore
-/// the same cable ([`SubnetManager::recover_link`]), and propagate again.
-/// The fabric ends every step healthy, so steps can repeat indefinitely;
-/// victims are drawn from the same seeded fault stream the campaign
-/// scheduler uses.
+/// Construction (via [`with_stepper`] or [`with_multi_stepper`]) sweeps
+/// every plane, bundles the rails, and launches the configured closed-loop
+/// flows. Each [`step`](CampaignStepper::step) then kills one random
+/// active non-terminal cable on the next plane (round-robin), fails the
+/// affected flows over to surviving rails, propagates the patched epoch,
+/// restores the same cable, and propagates again. The system ends every
+/// step healthy, so steps repeat indefinitely; victims are drawn from the
+/// same seeded fault stream the campaign scheduler uses.
 pub struct CampaignStepper<'a> {
-    sm: SubnetManager,
-    fabric: &'a Fabric<'a>,
-    cfg: CampaignConfig,
-    net: FluidNet,
-    ctx: Vec<Option<FlowCtx>>,
+    sys: ChurnSystem<'a>,
     fault_rng: ChaCha8Rng,
+    round: usize,
 }
 
 impl CampaignStepper<'_> {
-    /// Applies one fail → propagate → recover → propagate round-trip.
-    /// Victims whose removal would disconnect the fabric are redrawn
-    /// (`fail_link` rolls back on error), so a step always completes.
+    /// Applies one fail → failover → propagate → recover → propagate
+    /// round-trip. Victims whose removal would disconnect the fabric, or
+    /// whose restoration the engine cannot route, are redrawn (the manager
+    /// rolls back on error), so a step always completes.
     pub fn step(&mut self) -> StepReport {
+        let p = self.round % self.sys.cfg.planes;
+        self.round += 1;
         loop {
-            let candidates: Vec<LinkId> = self
-                .sm
-                .topo()
-                .links()
-                .filter(|&(id, l)| l.class != LinkClass::Terminal && self.sm.topo().is_active(id))
-                .map(|(id, _)| id)
-                .collect();
+            let candidates = self.sys.candidates(p);
             let victim = candidates[self.fault_rng.gen_range(0..candidates.len())];
-            let mut step_sp = Span::root(hxobs::track::RUNNER, 0, "step", "campaign");
-            step_sp.arg("link", hxobs::Json::from(victim.0 as u64));
-            let step = step_sp.ctx();
-            let Ok(fail) = self.sm.fail_link_spanned(victim, step) else {
-                step_sp.arg("rolled_back", hxobs::Json::from(true));
-                step_sp.end();
+            let mut sp = self.sys.span(p, None, "step");
+            sp.arg("link", hxobs::Json::from(victim.0 as u64));
+            let Ok((fail, failovers)) = self.sys.fail(p, victim, sp.ctx()) else {
+                sp.arg("rolled_back", hxobs::Json::from(true));
+                sp.end();
                 continue; // disconnecting kill: rolled back, redraw
             };
-            propagate_epoch(
-                &self.sm,
-                self.fabric,
-                &mut self.net,
-                &self.ctx,
-                self.cfg.bytes,
-                step,
-            );
-            let recover = match self.sm.recover_link_spanned(victim, step) {
+            let recover = match self.sys.recover(p, victim, sp.ctx()) {
                 Ok(r) => r,
                 Err(e) => {
-                    // Restoring capacity cannot disconnect, so this is the
-                    // engine failing to re-route (rolled back inside
-                    // recover_link). Propagate the still-consistent state
-                    // and redraw rather than crash the resident loop.
-                    propagate_epoch(
-                        &self.sm,
-                        self.fabric,
-                        &mut self.net,
-                        &self.ctx,
-                        self.cfg.bytes,
-                        step,
-                    );
-                    step_sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
-                    step_sp.end();
+                    sp.arg("recover_failed", hxobs::Json::from(e.to_string()));
+                    sp.end();
                     continue;
                 }
             };
-            propagate_epoch(
-                &self.sm,
-                self.fabric,
-                &mut self.net,
-                &self.ctx,
-                self.cfg.bytes,
-                step,
-            );
-            step_sp.set_epoch(self.sm.epoch());
-            step_sp.end();
+            let epoch = self.sys.set.epoch(p);
+            sp.set_epoch(epoch);
+            sp.end();
             return StepReport {
+                plane: p,
                 victim,
                 trees_patched: fail.patched_trees + recover.patched_trees,
                 fail_incremental: fail.incremental,
                 recover_incremental: recover.incremental,
-                epoch: self.sm.epoch(),
+                failovers,
+                epoch,
             };
         }
     }
 
-    /// The number of in-flight closed-loop flows riding the fabric.
+    /// In-flight closed-loop flows across all planes.
     pub fn active_flows(&self) -> usize {
-        self.net.active_flows()
+        self.sys.nets.iter().map(FluidNet::active_flows).sum()
     }
 }
 
-/// Builds a live campaign system on `topo` and hands a [`CampaignStepper`]
-/// to `f` — the borrow-friendly shape for the fabric's internal lifetimes.
-/// The workload and fault streams are seeded exactly like [`run_campaign`].
+/// Builds a live single-plane campaign system on `topo` and hands a
+/// [`CampaignStepper`] to `f`. The K = 1 case of [`with_multi_stepper`];
+/// streams are seeded exactly like [`run_campaign`].
 pub fn with_stepper<R>(
     topo: &Topology,
     engine: Box<dyn RoutingEngine>,
     cfg: &CampaignConfig,
     f: impl FnOnce(&mut CampaignStepper<'_>) -> R,
 ) -> Result<R, RouteError> {
-    let mut sm = SubnetManager::new(topo.clone(), engine);
-    sm.verify = false;
-    sm.sweep()?;
-    apply_demand_trigger(&mut sm, cfg)?;
-    let fab_topo = sm.topo().clone();
-    let fab_routes = sm.routes().expect("swept").clone();
-    let nodes: Vec<NodeId> = fab_topo.nodes().collect();
-    let n = nodes.len();
-    let fabric = Fabric::with_pathdb(
-        &fab_topo,
-        &fab_routes,
-        Placement::linear(&nodes, n),
-        cfg.pml.clone(),
-        NetParams::qdr().with_solver(cfg.solver),
-        sm.pathdb().expect("swept").clone(),
-    );
-    let mut net = FluidNet::with_solver(fabric.topo, cfg.solver);
-    let mut ctx: Vec<Option<FlowCtx>> = Vec::new();
-    let mut work_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ WORK_STREAM);
-    let mut seq = 0u64;
-    for _ in 0..cfg.flows {
-        launch(
-            &fabric,
-            cfg.bytes,
-            n,
-            &mut net,
-            &mut ctx,
-            &mut work_rng,
-            0.0,
-            &mut seq,
-        );
-    }
-    net.recompute();
-    let mut stepper = CampaignStepper {
-        sm,
-        fabric: &fabric,
-        cfg: cfg.clone(),
-        net,
-        ctx,
-        fault_rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ FAULT_STREAM),
-    };
-    Ok(f(&mut stepper))
+    let mut engine = Some(engine);
+    with_multi_stepper(
+        topo,
+        |_| engine.take().expect("one plane"),
+        &MultiPlaneConfig::single(cfg),
+        f,
+    )
+}
+
+/// Builds a live K-plane system on `topo` and hands a [`CampaignStepper`]
+/// to `f`. Streams are seeded exactly like [`run_multiplane_campaign`].
+pub fn with_multi_stepper<R>(
+    topo: &Topology,
+    engine_for: impl FnMut(usize) -> Box<dyn RoutingEngine>,
+    cfg: &MultiPlaneConfig,
+    f: impl FnOnce(&mut CampaignStepper<'_>) -> R,
+) -> Result<R, RouteError> {
+    with_system(topo, engine_for, cfg, |mut sys| {
+        sys.reset(&mut ChaCha8Rng::seed_from_u64(cfg.base.seed ^ WORK_STREAM));
+        let mut stepper = CampaignStepper {
+            sys,
+            fault_rng: ChaCha8Rng::seed_from_u64(cfg.base.seed ^ FAULT_STREAM),
+            round: 0,
+        };
+        f(&mut stepper)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hxroute::engines::{Dfsssp, Sssp};
+    use hxroute::engines::{Dfsssp, FatPaths, MinHop, Sssp};
     use hxtopo::hyperx::HyperXConfig;
 
     fn quick_cfg(solver: SolverKind) -> CampaignConfig {
@@ -811,11 +1008,32 @@ mod tests {
         }
     }
 
+    fn quick_multi(planes: usize, rail: RailPolicy) -> MultiPlaneConfig {
+        MultiPlaneConfig {
+            planes,
+            rail,
+            failover: true,
+            force_failover: false,
+            base: quick_cfg(SolverKind::Exact),
+        }
+    }
+
+    fn engines(p: usize) -> Box<dyn RoutingEngine> {
+        match p % 3 {
+            0 => Box::<Dfsssp>::default(),
+            1 => Box::<MinHop>::default(),
+            _ => Box::<Sssp>::default(),
+        }
+    }
+
+    fn hx4x4() -> Topology {
+        HyperXConfig::new(vec![4, 4], 2).build()
+    }
+
     #[test]
     fn campaign_reports_churn_and_heals() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
         let r = run_campaign(
-            &topo,
+            &hx4x4(),
             Box::new(Sssp::default()),
             &quick_cfg(SolverKind::Exact),
         )
@@ -827,6 +1045,9 @@ mod tests {
         assert!(r.healthy_throughput > 0.0);
         assert!(r.faulted_throughput > 0.0);
         assert!(r.faulted_completions > 0);
+        assert_eq!(r.failovers, 0, "one plane has nowhere to fail over to");
+        assert_eq!(r.planes.len(), 1);
+        assert_eq!(r.planes[0].completions, r.faulted_completions);
         // Degradation is physically bounded: churn can't add capacity.
         assert!(
             r.faulted_throughput <= r.healthy_throughput * 1.001,
@@ -836,7 +1057,7 @@ mod tests {
 
     #[test]
     fn stepper_steps_heal_and_bump_epochs() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
+        let topo = hx4x4();
         let cfg = quick_cfg(SolverKind::Incremental);
         let reports = with_stepper(&topo, Box::new(Sssp::default()), &cfg, |s| {
             assert_eq!(s.active_flows(), cfg.flows);
@@ -847,6 +1068,7 @@ mod tests {
         for r in reports {
             // fail + recover each bump the epoch at least once.
             assert!(r.epoch >= last_epoch + 2, "{r:?}");
+            assert_eq!((r.plane, r.failovers), (0, 0));
             last_epoch = r.epoch;
         }
         // Same seed, fresh stepper: the victim sequence replays.
@@ -858,8 +1080,7 @@ mod tests {
     #[test]
     fn demand_trigger_falls_back_without_capability() {
         use hxroute::Demand;
-        use hxtopo::NodeId;
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
+        let topo = hx4x4();
         let mut d = Demand::new(topo.num_nodes());
         d.add(NodeId(0), NodeId(31), 16 << 20);
         let mut cfg = quick_cfg(SolverKind::Exact);
@@ -879,11 +1100,21 @@ mod tests {
         let parx = run_campaign(&topo, Box::new(Parx::default()), &cfg).unwrap();
         assert!(parx.failures > 0);
         assert_eq!(parx.recoveries, parx.failures);
+        // Every rail of a multi-plane system fires the trigger too.
+        let multi = MultiPlaneConfig {
+            base: cfg,
+            ..quick_multi(2, RailPolicy::RoundRobin)
+        };
+        let plain = quick_multi(2, RailPolicy::RoundRobin);
+        let parx_for = |_| -> Box<dyn RoutingEngine> { Box::new(Parx::default()) };
+        let a = run_multiplane_campaign(&topo, parx_for, &multi).unwrap();
+        let b = run_multiplane_campaign(&topo, parx_for, &plain).unwrap();
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn campaign_is_deterministic_across_backends() {
-        let topo = HyperXConfig::new(vec![4, 4], 2).build();
+        let topo = hx4x4();
         let a = run_campaign(
             &topo,
             Box::new(Dfsssp::default()),
@@ -918,5 +1149,119 @@ mod tests {
         cfg.seed = 43;
         let d = run_campaign(&topo, Box::new(Dfsssp::default()), &cfg).unwrap();
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn two_plane_campaign_reports_churn_and_failovers() {
+        let mut cfg = quick_multi(2, RailPolicy::RoundRobin);
+        cfg.force_failover = true;
+        let r = run_multiplane_campaign(&hx4x4(), engines, &cfg).unwrap();
+        assert_eq!(r.planes.len(), 2);
+        assert!(r.failures > 0, "no churn at mtbf << duration: {r:?}");
+        assert!(r.failovers > 0, "forced failover must migrate flows: {r:?}");
+        assert!(r.healthy_throughput > 0.0);
+        assert!(r.faulted_throughput > 0.0);
+        assert!(
+            r.faulted_throughput <= r.healthy_throughput * 1.001,
+            "churn increased throughput? {r:?}"
+        );
+        for (p, pr) in r.planes.iter().enumerate() {
+            assert_eq!(pr.failures, pr.recoveries, "plane {p} heals: {r:?}");
+            // Only churned planes' shards moved past the initial epoch 1.
+            assert!(
+                pr.epoch > pr.failures + pr.recoveries,
+                "plane {p} epoch vs events {r:?}"
+            );
+        }
+        let per_plane: u64 = r.planes.iter().map(|p| p.failures).sum();
+        assert_eq!(per_plane, r.failures);
+    }
+
+    #[test]
+    fn campaign_is_deterministic_per_seed_and_policy() {
+        let topo = hx4x4();
+        for rail in RailPolicy::all() {
+            let cfg = quick_multi(2, rail);
+            let a = run_multiplane_campaign(&topo, engines, &cfg).unwrap();
+            let b = run_multiplane_campaign(&topo, engines, &cfg).unwrap();
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{rail:?}");
+            let mut c2 = cfg.clone();
+            c2.base.solver = SolverKind::Incremental;
+            let c = run_multiplane_campaign(&topo, engines, &c2).unwrap();
+            assert_eq!(
+                a.fingerprint(),
+                c.fingerprint(),
+                "{rail:?} across backends\n{a:?}\nvs\n{c:?}"
+            );
+        }
+        let mut cfg = quick_multi(2, RailPolicy::RoundRobin);
+        cfg.base.seed = 43;
+        let d = run_multiplane_campaign(&topo, engines, &cfg).unwrap();
+        let a = run_multiplane_campaign(&topo, engines, &quick_multi(2, RailPolicy::RoundRobin))
+            .unwrap();
+        assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    /// Every rail routes with the configured messaging layer: spreading a
+    /// multipath engine's flows across its LID layers must change the
+    /// campaign.
+    #[test]
+    fn every_rail_honors_the_pml() {
+        let topo = hx4x4();
+        let fatpaths = |_| -> Box<dyn RoutingEngine> { Box::<FatPaths>::default() };
+        let ob1 = quick_multi(2, RailPolicy::RoundRobin);
+        let mut hash = ob1.clone();
+        hash.base.pml = Pml::FlowHash;
+        let a = run_multiplane_campaign(&topo, fatpaths, &ob1).unwrap();
+        let b = run_multiplane_campaign(&topo, fatpaths, &hash).unwrap();
+        assert_ne!(a.fingerprint(), b.fingerprint(), "\n{a:?}\nvs\n{b:?}");
+    }
+
+    /// A K = 1 multi-plane campaign is the single-plane campaign.
+    #[test]
+    fn one_plane_multi_campaign_is_the_single_plane_campaign() {
+        let topo = hx4x4();
+        let mut multi = quick_multi(1, RailPolicy::LeastLoaded);
+        multi.force_failover = true;
+        let a = run_multiplane_campaign(&topo, engines, &multi).unwrap();
+        let mut single = run_campaign(&topo, engines(0), &multi.base).unwrap();
+        single.rail = a.rail;
+        assert_eq!(a.fingerprint(), single.fingerprint());
+        assert_eq!(a.failovers, 0);
+        let steps = |s: &mut CampaignStepper<'_>| {
+            (0..4)
+                .map(|_| s.step())
+                .map(|r| (r.victim, r.epoch))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            with_multi_stepper(&topo, engines, &multi, steps).unwrap(),
+            with_stepper(&topo, engines(0), &multi.base, steps).unwrap()
+        );
+    }
+
+    #[test]
+    fn stepper_heals_and_round_robins_planes() {
+        let mut cfg = quick_multi(3, RailPolicy::FlowHash);
+        cfg.force_failover = true;
+        let reports = with_multi_stepper(&hx4x4(), engines, &cfg, |s| {
+            assert_eq!(s.active_flows(), cfg.base.flows);
+            let r = [s.step(), s.step(), s.step()];
+            assert_eq!(s.active_flows(), cfg.base.flows);
+            r
+        })
+        .unwrap();
+        assert_eq!(
+            reports.iter().map(|r| r.plane).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        for r in &reports {
+            // fail + recover each bump the stepped plane's epoch.
+            assert!(r.epoch >= 3, "{r:?}");
+        }
+        assert!(
+            reports.iter().any(|r| r.failovers > 0),
+            "forced failover must migrate at least one flow: {reports:?}"
+        );
     }
 }

@@ -14,12 +14,11 @@
 //!   against the Fat-Tree/ftree/linear baseline,
 //! * [`report`] — text renderers for the paper's figure formats (gain
 //!   grids, whisker rows, bandwidth heatmaps),
-//! * [`campaign`] — deterministic fault-churn campaigns: seeded MTBF/MTTR
-//!   cable failure/recovery streams driven against a live workload, with
-//!   incremental re-routing and live epoch propagation into the fabric,
-//! * [`multiplane`] — the K-plane extension: plane-tagged churn events,
-//!   per-shard epoch propagation, and NIC rail failover of in-flight flows
-//!   onto surviving planes,
+//! * [`campaign`] — deterministic fault-churn campaigns on K planes (a
+//!   single-plane campaign is K = 1): seeded MTBF/MTTR cable
+//!   failure/recovery streams driven against a live workload, with
+//!   incremental re-routing, per-shard live epoch propagation, and NIC
+//!   rail failover of in-flight flows onto surviving planes,
 //! * [`service`] — the resident `hxd` read side: epoch-versioned
 //!   [`FabricSnapshot`](hxroute::FabricSnapshot) publication with
 //!   lock-free reader pinning, and the resolve / what-if / place / stats
@@ -51,23 +50,19 @@ pub mod campaign;
 pub mod capacity;
 pub mod combos;
 pub mod experiment;
-pub mod multiplane;
 pub mod report;
 pub mod service;
 pub mod system;
 
 pub use campaign::{
-    engine_from_env_or, run_campaign, with_stepper, CampaignConfig, CampaignReport,
-    CampaignStepper, StepReport,
+    engine_from_env_or, run_campaign, run_multiplane_campaign, with_multi_stepper, with_stepper,
+    CampaignConfig, CampaignReport, CampaignStepper, MultiPlaneConfig, MultiStepReport,
+    PlaneReport, StepReport,
 };
 pub use capacity::{
     run_capacity_combo, run_capacity_scale, ScaleConfig, ScaleReport, ScaleStepper,
 };
 pub use combos::Combo;
 pub use experiment::{Runner, Samples};
-pub use multiplane::{
-    run_multiplane_campaign, with_multi_stepper, MultiPlaneConfig, MultiPlaneReport,
-    MultiPlaneStepper, MultiStepReport,
-};
 pub use service::{Answer, FabricService, Query, QueryError, ServiceReader};
 pub use system::{planes_from_env, Plane, System, SystemBuilder, T2hx};

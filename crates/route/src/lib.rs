@@ -17,8 +17,6 @@
 //! * [`demand`] — communication-demand profiles PARX ingests,
 //! * [`pathdb`] — the epoch-versioned, CSR-compressed path store every
 //!   consumer (simulator, MPI layer, verification) resolves paths from,
-//! * [`delta`] — the delta-encoded compact sibling (first ISL hop per
-//!   pair, chained at resolve time) for multi-plane scale,
 //! * [`plane`] — per-plane shard handle over `Arc<PathDb>` stores for
 //!   K-plane fabrics with independent live epochs,
 //! * [`verify`] — loop-freedom, reachability and deadlock-freedom checks.
@@ -51,7 +49,6 @@
 //! ```
 
 pub mod cdg;
-pub mod delta;
 pub mod demand;
 pub mod dijkstra;
 pub mod engines;
@@ -63,7 +60,6 @@ pub mod plane;
 pub mod table1;
 pub mod verify;
 
-pub use delta::DeltaPathDb;
 pub use demand::{Demand, NormalizedDemand};
 pub use dijkstra::{dijkstra_to_dest, DestTree, EdgeWeights};
 pub use engines::{

@@ -312,8 +312,7 @@ impl PathDb {
     }
 
     /// Approximate heap footprint in bytes of the path payload (CSR
-    /// offsets + hop vectors) plus side tables — comparable against
-    /// [`crate::delta::DeltaPathDb::approx_bytes`].
+    /// offsets + hop vectors) plus side tables.
     pub fn approx_bytes(&self) -> usize {
         self.offsets.len() * 4
             + self.isl_hops.len() * 4

@@ -1,6 +1,5 @@
-//! Multi-plane quickstart: assemble a K-rail HyperX system, compare the
-//! CSR path store against the delta-encoded compact representation, and
-//! run a short churn campaign with rail failover.
+//! Multi-plane quickstart: assemble a K-rail HyperX system and run a short
+//! churn campaign with rail failover.
 //!
 //! ```sh
 //! cargo run --release --example multiplane
@@ -8,40 +7,13 @@
 
 use t2hx::core::{run_multiplane_campaign, CampaignConfig, MultiPlaneConfig, System};
 use t2hx::mpi::{Placement, Pml, RailPolicy};
-use t2hx::route::engines::{Dfsssp, RoutingEngine};
-use t2hx::route::{DeltaPathDb, PathDb};
+use t2hx::route::engines::Dfsssp;
 use t2hx::sim::SolverKind;
 use t2hx::topo::hyperx::HyperXConfig;
 use t2hx::topo::NodeId;
 
-fn sizes(label: &str, cfg: HyperXConfig) {
-    let topo = cfg.build();
-    let routes = Dfsssp::default().route(&topo).expect("routable");
-    let t0 = std::time::Instant::now();
-    let csr = PathDb::build(&topo, &routes, 1, 0).expect("csr");
-    let t_csr = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let delta = DeltaPathDb::build(&topo, &routes, 1, 0).expect("delta");
-    let t_delta = t0.elapsed();
-    println!(
-        "{label:<14} {:>5} sw {:>5} nodes  csr {:>12} B in {:>8.1?}  delta {:>11} B in {:>8.1?}  ({:.2}x smaller)",
-        topo.num_switches(),
-        topo.num_nodes(),
-        csr.approx_bytes(),
-        t_csr,
-        delta.approx_bytes(),
-        t_delta,
-        csr.approx_bytes() as f64 / delta.approx_bytes() as f64,
-    );
-}
-
 fn main() {
-    println!("# Path-store size: CSR vs delta encoding (equal resolve results)\n");
-    sizes("hx-12x8-t7", HyperXConfig::t2_hyperx(672));
-    sizes("hx-16x16-t2", HyperXConfig::new(vec![16, 16], 2));
-    sizes("hx-32x32-t1", HyperXConfig::new(vec![32, 32], 1));
-
-    println!("\n# 4-plane 12x8 T=7 system (2688 endpoints)\n");
+    println!("# 4-plane 12x8 T=7 system (2688 endpoints)\n");
     let t0 = std::time::Instant::now();
     let sys = System::replicated_hyperx(HyperXConfig::t2_hyperx(672), 4, |_| {
         Box::new(Dfsssp::default())
@@ -93,9 +65,9 @@ fn main() {
         r.healthy_throughput / 1e9,
         r.faulted_throughput / 1e9,
         100.0 * r.throughput_drop(),
-        r.failures.iter().sum::<u64>(),
-        r.recoveries.iter().sum::<u64>(),
+        r.failures,
+        r.recoveries,
         r.failovers,
-        r.final_epochs,
+        r.planes.iter().map(|p| p.epoch).collect::<Vec<_>>(),
     );
 }

@@ -138,20 +138,18 @@ fn four_plane_t7_campaign_survives_with_failover() {
     };
     let r = run_multiplane_campaign(&topo, |_| Box::new(Dfsssp::default()), &cfg)
         .expect("campaign survives");
-    assert_eq!(r.planes, 4);
-    let fails: u64 = r.failures.iter().sum();
-    assert!(fails > 0, "churn must fire: {r:?}");
-    assert_eq!(r.failures, r.recoveries, "campaign ends healed: {r:?}");
+    assert_eq!(r.planes.len(), 4);
+    assert!(r.failures > 0, "churn must fire: {r:?}");
     assert!(
         r.failovers > 0,
         "flows must migrate off faulted planes: {r:?}"
     );
     assert!(r.healthy_completions > 0 && r.faulted_completions > 0);
-    assert_eq!(r.final_epochs.len(), 4);
-    for (p, &e) in r.final_epochs.iter().enumerate() {
+    for (p, pr) in r.planes.iter().enumerate() {
+        assert_eq!(pr.failures, pr.recoveries, "plane {p} ends healed: {r:?}");
         assert!(
-            e >= 1 + r.failures[p] + r.recoveries[p],
-            "plane {p}: epoch {e} vs events {r:?}"
+            pr.epoch > pr.failures + pr.recoveries,
+            "plane {p}: epoch vs events {r:?}"
         );
     }
 }
