@@ -19,7 +19,7 @@ use hxcore::{with_multi_stepper, with_stepper, CampaignConfig, MultiPlaneConfig}
 use hxload::ebb::{effective_bisection_bandwidth, EBB_BYTES};
 use hxload::mpigraph::mpigraph;
 use hxmpi::{Fabric, Placement, Pml, RailPolicy, ScheduleBuilder};
-use hxroute::engines::{Dfsssp, FatPaths, FtHyperX, RoutingEngine};
+use hxroute::engines::{Dfsssp, FatPaths, FtHyperX, Parx, RoutingEngine};
 use hxroute::{DirLink, PathDb, PlaneSet, Routes, SubnetManager};
 use hxsim::{FluidNet, NetParams, Simulator, SolverKind};
 use hxtopo::hyperx::HyperXConfig;
@@ -91,6 +91,16 @@ pub const ALL: &[Kernel] = &[
         name: "fatpaths_build",
         about: "full 4-layer FatPaths sweep (masked trees + VL assignment)",
         collect: fatpaths_build,
+    },
+    Kernel {
+        name: "dfsssp_build",
+        about: "full DFSSSP sweep (balanced SSSP trees + VL assignment)",
+        collect: dfsssp_build,
+    },
+    Kernel {
+        name: "parx_build",
+        about: "full PARX sweep (four masked LID trees + VL assignment)",
+        collect: parx_build,
     },
     Kernel {
         name: "hxd_query",
@@ -410,6 +420,25 @@ fn fatpaths_build(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f6
         engine.route(&topo).unwrap();
     });
     (format!("{scale}/L{}", engine.layers), ns)
+}
+
+/// The DFSSSP sweep the paper deploys on the HyperX plane (combos 3–4).
+fn dfsssp_build(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64>) {
+    let (topo, scale) = plane(quick);
+    let ns = time_loop(warmup, samples, || {
+        Dfsssp::default().route(&topo).unwrap();
+    });
+    (scale.to_string(), ns)
+}
+
+/// The PARX sweep (combo 5): every quadrant LID's masked tree, then the
+/// VL assignment over all of them.
+fn parx_build(quick: bool, warmup: usize, samples: usize) -> (String, Vec<f64>) {
+    let (topo, scale) = plane(quick);
+    let ns = time_loop(warmup, samples, || {
+        Parx::default().route(&topo).unwrap();
+    });
+    (scale.to_string(), ns)
 }
 
 /// Queries per timed iteration of `hxd_query`.

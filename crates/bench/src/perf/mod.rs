@@ -34,7 +34,7 @@ use std::time::Instant;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// The PR this build stamps into its trajectory file (`BENCH_<PR>.json`).
-pub const PR: u64 = 10;
+pub const PR: u64 = 13;
 
 /// One benchmark kernel: registry name, a one-line description, and the
 /// collector producing `(scale label, per-iteration nanoseconds)`.

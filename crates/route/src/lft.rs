@@ -262,6 +262,12 @@ impl Routes {
         }
     }
 
+    /// Resets every SL entry to 0 and the VL count to 1 (before a layering).
+    pub(crate) fn clear_sl(&mut self) {
+        self.sl.clear();
+        self.num_vls = 1;
+    }
+
     /// Mutable SL entry (used by deadlock-free engines during layering).
     pub(crate) fn sl_entry_mut(&mut self, src_switch: SwitchId, dst_lid: Lid) -> &mut u8 {
         if self.sl.is_empty() {

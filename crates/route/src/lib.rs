@@ -49,6 +49,8 @@
 //! ```
 
 pub mod cdg;
+#[cfg(test)]
+mod cdg_oracle;
 pub mod demand;
 pub mod dijkstra;
 pub mod engines;

@@ -10,7 +10,7 @@
 
 use crate::demand::Demand;
 use crate::dijkstra::dijkstra_to_dest;
-use crate::engines::{install_tree, walk_lft, RoutingEngine};
+use crate::engines::{assign_vls, install_tree, walk_lft, RoutingEngine};
 use crate::lft::{RouteError, Routes};
 use crate::lid::Lid;
 use crate::pathdb::PathDb;
@@ -44,13 +44,17 @@ pub struct SubnetManager {
     routes: Option<Routes>,
     pathdb: Option<Arc<PathDb>>,
     epoch: u64,
+    /// Virtual lanes the engine's last full sweep used: the budget a patch
+    /// that breaks the VL layering is re-layered within.
+    vl_budget: u8,
     /// Verify deadlock freedom on every sweep (the paper's criteria (4);
     /// disable only for throughput experiments). Loop freedom and
     /// reachability are always checked — the PathDb build is that check.
     pub verify: bool,
     /// Repair cable failures incrementally (fail-in-place) instead of
     /// re-running the engine from scratch. Falls back to a full sweep when
-    /// the patch fails (disconnection, VL layering breakage).
+    /// the patch fails (disconnection, or with [`SubnetManager::verify`] a
+    /// VL re-layering that needs more lanes than the last sweep used).
     pub incremental: bool,
     /// PathDb build parallelism (`0` = auto).
     pub threads: usize,
@@ -69,6 +73,7 @@ impl SubnetManager {
             routes: None,
             pathdb: None,
             epoch: 0,
+            vl_budget: 1,
             verify: true,
             incremental: true,
             threads: 0,
@@ -88,6 +93,7 @@ impl SubnetManager {
         SubnetManager {
             topo,
             engine,
+            vl_budget: routes.num_vls,
             routes: Some(routes),
             pathdb: Some(pathdb),
             epoch,
@@ -178,6 +184,7 @@ impl SubnetManager {
                 }
             }
         }
+        self.vl_budget = vls;
         self.routes = Some(routes);
         self.pathdb = Some(Arc::new(db));
         Ok(SweepReport {
@@ -385,7 +392,7 @@ impl SubnetManager {
     /// error so the caller can fall back to a full resweep.
     fn commit_patch(
         &mut self,
-        new_routes: Routes,
+        mut new_routes: Routes,
         affected: Vec<Lid>,
         op: &str,
         mut patch_sp: Span,
@@ -393,10 +400,14 @@ impl SubnetManager {
     ) -> Result<SweepReport, RouteError> {
         let db = self.pathdb.clone().ok_or(RouteError::NoPathDb)?;
         let new_db = db.patched(&self.topo, &new_routes, &affected)?;
-        // Repaired trees keep their old service levels; re-check the CDGs
-        // and let the caller fall back to a full sweep if layering broke.
-        if self.verify {
+        // Repaired trees keep their old service levels, which can close a
+        // CDG cycle. Re-layer the patched LFTs within the lanes the engine
+        // used, and let the caller fall back to a full sweep only when that
+        // overflows. Service levels feed no path, so the PathDb stands.
+        if self.verify && verify_deadlock_free(&self.topo, &new_routes).is_err() {
+            assign_vls(&self.topo, &mut new_routes, self.vl_budget)?;
             verify_deadlock_free(&self.topo, &new_routes)?;
+            patch_sp.arg("relayered", hxobs::Json::from(true));
         }
         let paths = new_db.stats();
         self.epoch += 1;
@@ -504,8 +515,8 @@ impl SubnetManager {
                 sp.end();
                 return Ok(r);
             }
-            // Patch failed (VL layering breakage under verify): fall through
-            // to the full resweep with state untouched.
+            // Patch failed (a VL re-layering overflow under verify): fall
+            // through to the full resweep with state untouched.
         }
         match self.sweep() {
             Ok(r) => {

@@ -34,6 +34,10 @@ pub fn verify_paths(topo: &Topology, routes: &Routes) -> Result<PathStats, Route
 /// Rebuilds the channel dependency graph of every virtual lane from the
 /// actual forwarding state and SL table, and checks each for acyclicity
 /// (Dally & Seitz). Returns the number of VLs populated.
+///
+/// The edges go in unchecked ([`Cdg::add_chain`]) and Kahn's algorithm
+/// ([`Cdg::is_acyclic`]) decides, so this check shares no cycle logic with
+/// the online order the layering ([`Cdg::try_add_chain`]) relies on.
 pub fn verify_deadlock_free(topo: &Topology, routes: &Routes) -> Result<u8, RouteError> {
     let channels = topo.num_links() * 2;
     let mut cdgs: Vec<Cdg> = (0..routes.num_vls.max(1))
