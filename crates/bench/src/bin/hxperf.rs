@@ -22,6 +22,8 @@
 //! quick/BENCH_<pr>.json` (quick mode, so a smoke run never clobbers the
 //! committed trajectory). Baseline: `--baseline`, else the
 //! highest-numbered other `BENCH_<k>.json` (k ≤ pr) next to the output.
+//! Each point is stamped with its host (CPU model, logical CPUs); kernels
+//! of points from different or unstamped hosts are reported incomparable.
 //! Exit code 1 on a gated regression unless `--advisory`.
 
 use hxbench::perf::{self, compare, BenchFile, RunSpec};
@@ -129,6 +131,9 @@ fn run_gate(new: &BenchFile, old: &BenchFile, old_name: &str, gate: &compare::Ga
             mode(new.quick)
         );
     }
+    if old.host.is_none() || old.host != new.host {
+        println!("(host stamps differ or are missing — kernels are incomparable)");
+    }
     let deltas = compare::compare(old, new, gate);
     print!("{}", compare::render(&deltas, gate));
     compare::has_regression(&deltas)
@@ -197,6 +202,7 @@ fn main() {
         pr: perf::PR,
         quick: spec.quick,
         kernels: records,
+        host: Some(perf::Host::current()),
     };
     let out = out_path(&args, spec.quick);
     if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {

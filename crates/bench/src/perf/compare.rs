@@ -53,8 +53,9 @@ pub enum Verdict {
     Improvement,
     /// Within noise (CIs overlap, or the shift is under the threshold).
     Ok,
-    /// Present in both files but measured at different scales/units —
-    /// never compared (e.g. a quick run against a full baseline).
+    /// Present in both files but measured at different scales/units or on
+    /// different (or unstamped) hosts — never compared (e.g. a quick run
+    /// against a full baseline).
     Incomparable,
     /// Only in the new file (kernel added since the baseline).
     New,
@@ -93,8 +94,11 @@ pub struct Delta {
 
 /// Compares two trajectory points kernel-by-kernel under `gate`. Rows come
 /// back sorted by name; kernels unique to either side are reported as
-/// [`Verdict::New`] / [`Verdict::Removed`].
+/// [`Verdict::New`] / [`Verdict::Removed`]. Unless both files carry the
+/// same host stamp, every shared kernel is [`Verdict::Incomparable`]: a
+/// slower machine is not a regression.
 pub fn compare(old: &BenchFile, new: &BenchFile, gate: &Gate) -> Vec<Delta> {
+    let same_host = old.host.is_some() && old.host == new.host;
     let mut names: Vec<&str> = old
         .kernels
         .iter()
@@ -112,7 +116,7 @@ pub fn compare(old: &BenchFile, new: &BenchFile, gate: &Gate) -> Vec<Delta> {
                 (None, Some(_)) => (Verdict::New, None),
                 (Some(_), None) => (Verdict::Removed, None),
                 (Some(o), Some(n)) => {
-                    if o.scale != n.scale || o.unit != n.unit {
+                    if !same_host || o.scale != n.scale || o.unit != n.unit {
                         (Verdict::Incomparable, None)
                     } else {
                         let change = (n.stats.median / o.stats.median - 1.0) * 100.0;

@@ -123,6 +123,44 @@ impl KernelRecord {
     }
 }
 
+/// The machine a trajectory point was measured on. Medians from different
+/// hosts are not comparable, so the gate only compares equal stamps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// CPU model string (`model name` in `/proc/cpuinfo`, else `unknown`).
+    pub cpu_model: String,
+    /// Logical CPUs available to the process.
+    pub cpus: u64,
+}
+
+impl Host {
+    /// The host this process runs on.
+    pub fn current() -> Host {
+        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+        let model = cpuinfo
+            .lines()
+            .find_map(|l| l.strip_prefix("model name")?.split_once(':'));
+        Host {
+            cpu_model: model.map_or("unknown", |(_, v)| v.trim()).to_string(),
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("cpu_model", Json::str(self.cpu_model.clone())),
+            ("cpus", Json::from(self.cpus)),
+        ])
+    }
+
+    fn from_json(j: &Json) -> Option<Host> {
+        Some(Host {
+            cpu_model: j.get("cpu_model")?.as_str()?.to_string(),
+            cpus: j.get("cpus")?.as_num()? as u64,
+        })
+    }
+}
+
 /// A complete trajectory point — the payload of one `BENCH_<pr>.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
@@ -134,6 +172,9 @@ pub struct BenchFile {
     pub quick: bool,
     /// Per-kernel records, sorted by name.
     pub kernels: Vec<KernelRecord>,
+    /// The machine that measured the samples; `None` in files written
+    /// before hosts were stamped (BENCH_5..13).
+    pub host: Option<Host>,
 }
 
 impl BenchFile {
@@ -143,6 +184,9 @@ impl BenchFile {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
+        if let Some(host) = &self.host {
+            out.push_str(&format!("  \"host\": {},\n", host.to_json()));
+        }
         out.push_str("  \"kernels\": [");
         for (i, k) in self.kernels.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -184,6 +228,10 @@ impl BenchFile {
             pr: num("pr")? as u64,
             quick,
             kernels,
+            host: match j.get("host") {
+                Some(h) => Some(Host::from_json(h).ok_or("malformed \"host\" record")?),
+                None => None,
+            },
         };
         if file.schema_version != SCHEMA_VERSION {
             return Err(format!(

@@ -5,7 +5,7 @@
 //! byte-identically so committed trajectory points never churn.
 
 use hxbench::perf::compare::{compare, find_baseline, has_regression, Gate, Verdict};
-use hxbench::perf::{BenchFile, KernelRecord, PR, SCHEMA_VERSION};
+use hxbench::perf::{BenchFile, Host, KernelRecord, PR, SCHEMA_VERSION};
 use hxobs::Summary;
 
 /// Deterministic same-distribution "timing" samples: a base cost plus a
@@ -36,12 +36,21 @@ fn record(name: &str, samples: &[f64]) -> KernelRecord {
     }
 }
 
+/// A synthetic host stamp, so gate tests do not depend on the machine.
+fn host(cpu_model: &str) -> Option<Host> {
+    Some(Host {
+        cpu_model: cpu_model.to_string(),
+        cpus: 2,
+    })
+}
+
 fn file_of(kernels: Vec<KernelRecord>) -> BenchFile {
     BenchFile {
         schema_version: SCHEMA_VERSION,
         pr: PR,
         quick: false,
         kernels,
+        host: host("Synthetic CPU @ 2.0GHz"),
     }
 }
 
@@ -102,6 +111,47 @@ fn scale_mismatch_is_incomparable() {
     assert_eq!(deltas[0].verdict, Verdict::Incomparable);
     assert!(deltas[0].change_pct.is_none());
     assert!(!has_regression(&deltas));
+}
+
+#[test]
+fn cross_host_points_are_incomparable() {
+    // A 2x slower point from another (or an unstamped) host must not read
+    // as a regression: the host stamps differ, exactly like a scale label.
+    let old = file_of(vec![record("recompute_exact", &noisy_samples(1e6, 13, 20))]);
+    let mut new = file_of(vec![
+        record("recompute_exact", &noisy_samples(2e6, 14, 20)),
+        record("parx_build", &noisy_samples(1e8, 15, 20)),
+    ]);
+    for new_host in [host("Other CPU @ 1.0GHz"), None] {
+        new.host = new_host;
+        for (a, b) in [(&old, &new), (&new, &old)] {
+            let deltas = compare(a, b, &Gate::default());
+            let shared = deltas.iter().find(|d| d.name == "recompute_exact").unwrap();
+            assert_eq!(shared.verdict, Verdict::Incomparable);
+            assert!(shared.change_pct.is_none());
+            assert!(!has_regression(&deltas));
+        }
+    }
+    // Once the stamps match, the same two points gate again.
+    new.host = old.host.clone();
+    assert!(has_regression(&compare(&old, &new, &Gate::default())));
+}
+
+#[test]
+fn unstamped_files_still_parse() {
+    // BENCH_5..13 predate the host stamp; they parse with `host: None`
+    // and re-emit byte-identically, while stamped files round-trip too.
+    let mut file = file_of(vec![record("pathdb_build", &noisy_samples(3e5, 16, 5))]);
+    for stamp in [None, host("Synthetic \"quoted\" CPU")] {
+        file.host = stamp;
+        let text = file.to_text();
+        assert_eq!(text.contains("\"host\""), file.host.is_some());
+        let parsed = BenchFile::parse(&text).expect("parse own output");
+        assert_eq!(parsed, file);
+        assert_eq!(parsed.to_text(), text);
+    }
+    let committed = include_str!("../../../BENCH_13.json");
+    assert_eq!(BenchFile::parse(committed).unwrap().host, None);
 }
 
 #[test]

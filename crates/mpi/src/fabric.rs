@@ -34,7 +34,10 @@ impl<'a> Fabric<'a> {
     /// forwarding state (in parallel). An unroutable `(node, LID)` pair is
     /// reported as the underlying [`RouteError`] so multi-plane assembly
     /// and campaign harnesses can degrade gracefully (skip the plane,
-    /// surface the fault) instead of aborting the process.
+    /// surface the fault) instead of aborting the process. The `bfo-parx`
+    /// PML selects LIDs by quadrant, so it is refused with
+    /// [`RouteError::UnsupportedTopology`] unless the fabric is a 2-D
+    /// even-extent HyperX routed with 4 LIDs per node.
     pub fn new(
         topo: &'a Topology,
         routes: &'a Routes,
@@ -42,6 +45,16 @@ impl<'a> Fabric<'a> {
         pml: Pml,
         params: NetParams,
     ) -> Result<Fabric<'a>, RouteError> {
+        let quadrant_layout = topo
+            .meta
+            .as_hyperx()
+            .is_some_and(|hx| hx.dims() == 2 && hx.shape.iter().all(|s| s % 2 == 0))
+            && routes.lid_map.lids_per_node() == 4;
+        if matches!(pml, Pml::BfoParx { .. }) && !quadrant_layout {
+            return Err(RouteError::UnsupportedTopology(
+                "bfo-parx requires a 2-D even-extent HyperX with 4 LIDs per node",
+            ));
+        }
         let pathdb = PathDb::build(topo, routes, 0, 0)?;
         Ok(Self::with_pathdb(
             topo,
@@ -271,6 +284,35 @@ mod tests {
         let rp = f.resolve(0, 20, 1 << 20, 0);
         assert!(rp.extra_overhead > 0.0);
         assert!(!rp.hops.is_empty());
+    }
+
+    #[test]
+    fn bfo_parx_refuses_fabrics_without_quadrants() {
+        // PARX routes the 3-D HyperX, but Table 1 has no 3-D quadrants.
+        let t = HyperXConfig::new(vec![4, 4, 2], 1).build();
+        let r = Parx::default().route(&t).unwrap();
+        let nodes: Vec<NodeId> = t.nodes().collect();
+        let fabric =
+            |pml| Fabric::new(&t, &r, Placement::linear(&nodes, 32), pml, NetParams::qdr());
+        assert!(matches!(
+            fabric(Pml::parx()),
+            Err(RouteError::UnsupportedTopology(_))
+        ));
+        assert!(fabric(Pml::BfoRoundRobin).is_ok());
+        // A 2-D plane routed with one LID per node has no virtual LIDs.
+        let t = HyperXConfig::new(vec![4, 4], 2).build();
+        let r = Dfsssp::default().route(&t).unwrap();
+        let nodes: Vec<NodeId> = t.nodes().collect();
+        assert!(matches!(
+            Fabric::new(
+                &t,
+                &r,
+                Placement::linear(&nodes, 32),
+                Pml::parx(),
+                NetParams::qdr()
+            ),
+            Err(RouteError::UnsupportedTopology(_))
+        ));
     }
 
     #[test]

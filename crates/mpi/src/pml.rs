@@ -89,6 +89,7 @@ impl Pml {
                 (h % per_node as u64) as u32
             }
             Pml::BfoParx { threshold } => {
+                // `Fabric::new` refuses any other layout with a typed error.
                 let hx: &HyperXShape = topo
                     .meta
                     .as_hyperx()

@@ -20,8 +20,10 @@
 //! Deadlock freedom comes from the shared lowest-acyclic-VL assignment
 //! over *all* layers' paths, exactly like DFSSSP/PARX.
 
-use super::{assign_vls, install_tree, walk_lft, IncrementalRepair, Multipath, RoutingEngine};
-use crate::dijkstra::{dijkstra_to_dest, EdgeWeights};
+use super::{
+    assign_vls, install_masked_tree, walk_lft, IncrementalRepair, Multipath, RoutingEngine,
+};
+use crate::dijkstra::EdgeWeights;
 use crate::lft::{RouteError, Routes};
 use crate::lid::{LidMap, LidPolicy};
 use hxtopo::{LinkClass, NodeId, Topology};
@@ -134,21 +136,10 @@ impl Multipath for FatPaths {
         let nodes: Vec<NodeId> = topo.nodes().collect();
         for &nd in &nodes {
             let lid = routes.lid_map.lid(nd, layer as u32);
-            let (dsw, dlink) = topo.node_switch(nd);
-            let tree = dijkstra_to_dest(topo, dsw, &weights, Some(&mask));
-            install_tree(routes, &tree, lid, dlink);
+            let (dsw, _) = topo.node_switch(nd);
             // Footnote-7 fallback: switches this layer's removal cut off
             // keep their full-lattice minimal entry.
-            if topo.switches().any(|s| s != dsw && !tree.reachable(s)) {
-                let full = dijkstra_to_dest(topo, dsw, &weights, None);
-                for s in topo.switches() {
-                    if s != dsw && !tree.reachable(s) {
-                        if let Some(link) = full.out[s.idx()] {
-                            routes.set(s, lid, link);
-                        }
-                    }
-                }
-            }
+            install_masked_tree(topo, routes, &weights, &mask, lid, nd);
             // Intra-layer balancing, SSSP-style: later trees avoid the
             // cables earlier trees loaded.
             for &src in &nodes {

@@ -5,11 +5,10 @@
 //! | [`Ftree`] | OpenSM `ftree` — the Fat-Tree baseline (combo 1) |
 //! | [`Sssp`] | OpenSM SSSP (Hoefler'09) — faulty-Fat-Tree combo 2 |
 //! | [`Dfsssp`] | deadlock-free SSSP (Domke'11) — HyperX combos 3 & 4 |
-//! | [`Parx`] | the paper's contribution — HyperX combo 5 |
+//! | [`Parx`] | the paper's contribution — HyperX combo 5; any even-extent HyperX, R1–R4 being the 2-D case |
 //! | [`UpDown`] | Up*/Down* — classic deadlock-free reference |
 //! | [`MinHop`] | unbalanced hop-minimal baseline for ablations |
 //! | [`Lash`] | LASH — cited deadlock-free alternative (unbalanced + VLs) |
-//! | [`ParxNd`] | extension: PARX generalized to n-dimensional HyperX |
 //! | [`FtHyperX`] | fault-tolerant HyperX routing (Camarero/Cano, arXiv 2404.04315) |
 //! | [`FatPaths`] | FatPaths layered multipath (Besta et al.), one layer per LID offset |
 //!
@@ -29,7 +28,6 @@ mod ftree;
 mod lash;
 mod minhop;
 mod parx;
-mod parx_nd;
 mod sssp;
 mod updown;
 
@@ -39,14 +37,13 @@ pub use ft_hyperx::FtHyperX;
 pub use ftree::Ftree;
 pub use lash::Lash;
 pub use minhop::MinHop;
-pub use parx::Parx;
-pub use parx_nd::{select_lid_nd, HalfRule, ParxNd};
+pub use parx::{HalfRule, Parx};
 pub use sssp::Sssp;
 pub use updown::UpDown;
 
 use crate::cdg::{chain_of, Cdg};
 use crate::demand::Demand;
-use crate::dijkstra::{DestTree, EdgeWeights};
+use crate::dijkstra::{dijkstra_to_dest, DestTree, EdgeWeights};
 use crate::lft::{DirLink, RouteError, Routes};
 use crate::lid::Lid;
 use hxtopo::{Endpoint, LinkId, NodeId, SwitchId, Topology};
@@ -166,12 +163,11 @@ pub const ENGINE_NAMES: &[&str] = &[
 ];
 
 /// Resolves an engine by its report label (case-insensitive). Covers every
-/// engine in [`ENGINE_NAMES`] plus the topology-specific `ftree` and
-/// `parx-nd`.
+/// engine in [`ENGINE_NAMES`] plus the topology-specific `ftree`; `parx-nd`
+/// and `fthyperx` are aliases of `parx` and `ft-hyperx`.
 pub fn engine_by_name(name: &str) -> Option<Box<dyn RoutingEngine>> {
     Some(match name.to_ascii_lowercase().as_str() {
-        "parx" => Box::new(Parx::default()),
-        "parx-nd" => Box::new(ParxNd::default()),
+        "parx" | "parx-nd" => Box::new(Parx::default()),
         "dfsssp" => Box::new(Dfsssp::default()),
         "ft-hyperx" | "fthyperx" => Box::new(FtHyperX::default()),
         "fatpaths" => Box::new(FatPaths::default()),
@@ -208,6 +204,33 @@ pub(crate) fn install_tree(
         }
     }
     routes.set(tree.dst, lid, dst_terminal);
+}
+
+/// Installs the tree towards `dst`'s `lid` over the cables `mask` keeps.
+/// Switches the removal cuts off keep their unrestricted minimal entry —
+/// the fault tolerance of the paper's footnote 7, shared by PARX's half
+/// rules and FatPaths' layer masks.
+pub(crate) fn install_masked_tree(
+    topo: &Topology,
+    routes: &mut Routes,
+    weights: &EdgeWeights,
+    mask: &[bool],
+    lid: Lid,
+    dst: NodeId,
+) {
+    let (dsw, dlink) = topo.node_switch(dst);
+    let tree = dijkstra_to_dest(topo, dsw, weights, Some(mask));
+    install_tree(routes, &tree, lid, dlink);
+    if topo.switches().any(|s| s != dsw && !tree.reachable(s)) {
+        let full = dijkstra_to_dest(topo, dsw, weights, None);
+        for s in topo.switches() {
+            if s != dsw && !tree.reachable(s) {
+                if let Some(link) = full.out[s.idx()] {
+                    routes.set(s, lid, link);
+                }
+            }
+        }
+    }
 }
 
 /// Walks the installed LFTs from a switch towards a LID, yielding the
@@ -253,7 +276,7 @@ pub(crate) fn fill_weighted_minimal(
     let dests: Vec<(Lid, NodeId)> = routes.lid_map.lids().collect();
     for (lid, dst) in dests {
         let (dsw, dlink) = topo.node_switch(dst);
-        let tree = crate::dijkstra::dijkstra_to_dest(topo, dsw, &weights, None);
+        let tree = dijkstra_to_dest(topo, dsw, &weights, None);
         install_tree(routes, &tree, lid, dlink);
         if update_per_path > 0 {
             for src in topo.nodes() {
@@ -353,8 +376,32 @@ mod tests {
 
     /// Engines whose sweep ends in [`assign_vls`]; the rest of
     /// [`ENGINE_NAMES`] route on one lane without a layering.
-    const VL_ENGINES: &[&str] = &["parx", "parx-nd", "dfsssp", "ft-hyperx", "fatpaths", "lash"];
+    const VL_ENGINES: &[&str] = &["parx", "dfsssp", "ft-hyperx", "fatpaths", "lash"];
     const SINGLE_LANE: &[&str] = &["sssp", "minhop", "updown"];
+
+    /// `parx-nd` is an alias: the same engine, name and tables as `parx`.
+    #[test]
+    fn parx_nd_is_an_alias_of_parx() {
+        let topos = [
+            HyperXConfig::new(vec![4, 4], 2).build(),
+            HyperXConfig::new(vec![4, 4, 2], 1).build(),
+        ];
+        for topo in &topos {
+            let (a, b) = (
+                engine_by_name("parx").unwrap(),
+                engine_by_name("PARX-nD").unwrap(),
+            );
+            assert_eq!((a.name(), b.name()), ("parx", "parx"));
+            let (ra, rb) = (a.route(topo).unwrap(), b.route(topo).unwrap());
+            assert!(ra.lft_eq(&rb), "{}", topo.name());
+            assert_eq!(ra.num_vls, rb.num_vls);
+            for s in topo.switches() {
+                for lid in 0..ra.lid_space() as Lid {
+                    assert_eq!(ra.sl(s, lid), rb.sl(s, lid));
+                }
+            }
+        }
+    }
 
     /// Every VL engine's SL table and lane count equal what the DFS oracle
     /// layering assigns to the same forwarding tables.
@@ -377,6 +424,7 @@ mod tests {
             HyperXConfig::new(vec![4, 4], 2).build(),
             faulted,
             HyperXConfig::new(vec![3, 3, 3], 2).build(),
+            HyperXConfig::new(vec![4, 4, 2], 1).build(),
         ];
         let mut multi_lane = 0;
         for topo in &topos {
@@ -384,9 +432,9 @@ mod tests {
                 let engine = engine_by_name(name).unwrap();
                 let routes = match engine.route(topo) {
                     Ok(r) => r,
-                    // PARX's quadrant LIDs need even extents (2-D for
-                    // `parx`), which the 3x3x3 does not have.
-                    Err(RouteError::UnsupportedTopology(_)) if name.starts_with("parx") => continue,
+                    // PARX's half rules need even extents, which the
+                    // 3x3x3 does not have.
+                    Err(RouteError::UnsupportedTopology(_)) if name == "parx" => continue,
                     Err(e) => panic!("{name} on {}: {e:?}", topo.name()),
                 };
                 let mut oracle = routes.clone();

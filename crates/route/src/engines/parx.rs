@@ -1,17 +1,16 @@
-//! PARX — Pattern-Aware Routing for 2-D HyperX topologies (the paper's
-//! Algorithm 1 and central contribution).
+//! PARX — Pattern-Aware Routing for HyperX (the paper's Algorithm 1 and
+//! central contribution), on HyperX of any even-extent dimension.
 //!
-//! PARX exploits InfiniBand's LMC multi-LID feature: each HCA port receives
-//! four virtual destination LIDs (LMC = 2). When the routing engine computes
-//! paths towards LID index `x`, it *temporarily removes* the links inside
-//! one half of the HyperX (rules R1–R4 of Section 3.2.1):
-//!
-//! * LID0 — remove all links within the left half,
-//! * LID1 — right half, LID2 — top half, LID3 — bottom half.
-//!
+//! PARX exploits InfiniBand's LMC multi-LID feature: when routing towards a
+//! node's virtual LID index `x`, it *temporarily removes* the links inside
+//! one half of the HyperX. Each of the `L` dimensions gives two such
+//! [`HalfRule`]s (lower or upper half), so a node owns `2L` LIDs. The
+//! paper's 2-D plane is `L = 2` with rules R1–R4 of Section 3.2.1: LID0
+//! removes the left half, LID1 the right, LID2 the top, LID3 the bottom.
 //! Depending on the destination's quadrant, some of its LIDs therefore get
 //! minimal paths and others forced detours (Figure 3), and the modified bfo
-//! PML chooses among them by message size via Table 1.
+//! PML chooses among them by message size via Table 1 (the tests audit its
+//! n-D generalization, which Section 3.2.1 says the scheme allows).
 //!
 //! Path calculation is DFSSSP's modified Dijkstra; the edge-weight updates
 //! are demand-driven: for destinations listed in the ingested communication
@@ -19,14 +18,51 @@
 //! `w in 1..=255` rather than the oblivious `+1`, separating high-traffic
 //! paths as much as possible (Section 3.2.3). Deadlock freedom comes from
 //! the same VL layering as DFSSSP; the paper measured 5–8 VLs for its runs.
+//! LIDs follow the paper's quadrant blocks where they fit (footnote 9),
+//! sequential numbering otherwise.
 
-use super::{assign_vls, install_tree, walk_lft, RoutingEngine};
+use super::{assign_vls, install_masked_tree, walk_lft, RoutingEngine};
 use crate::demand::Demand;
-use crate::dijkstra::{dijkstra_to_dest, EdgeWeights};
+use crate::dijkstra::EdgeWeights;
 use crate::lft::{RouteError, Routes};
 use crate::lid::{LidMap, LidPolicy};
-use crate::table1::{rule_for_lid, RemovedHalf};
-use hxtopo::{NodeId, Topology};
+use hxtopo::{NodeId, SwitchId, Topology};
+
+/// A half-removal rule: drop links internal to one half of one dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HalfRule {
+    /// Dimension index.
+    pub dim: usize,
+    /// `false` = lower half (`coord < extent/2`), `true` = upper half.
+    pub upper: bool,
+}
+
+impl HalfRule {
+    /// Rule encoded by LID index `x = 2*dim + upper` on a `dims`-dimensional
+    /// HyperX; `None` past the `2*dims` rules (such an index carries no
+    /// removal rule, and asking never aborts).
+    pub fn of_lid(x: u8, dims: usize) -> Option<HalfRule> {
+        ((x as usize) < 2 * dims).then_some(HalfRule {
+            dim: (x / 2) as usize,
+            upper: x % 2 == 1,
+        })
+    }
+
+    /// LID index of this rule.
+    pub fn lid(&self) -> u8 {
+        (self.dim * 2) as u8 + u8::from(self.upper)
+    }
+
+    /// Whether a coordinate lies inside the removed half.
+    pub fn contains(&self, coord: &[u32], shape: &[u32]) -> bool {
+        let half = shape[self.dim] / 2;
+        if self.upper {
+            coord[self.dim] >= half
+        } else {
+            coord[self.dim] < half
+        }
+    }
+}
 
 /// PARX configuration.
 #[derive(Debug, Clone, Default)]
@@ -47,41 +83,32 @@ impl Parx {
         }
     }
 
-    /// Builds the four link masks implementing rules R1–R4: `masks[x][link]`
-    /// is false when routing towards LID index `x` must ignore the cable.
-    fn build_masks(topo: &Topology) -> Result<[Vec<bool>; 4], RouteError> {
+    /// Builds one link mask per half rule: `masks[x][link]` is false when
+    /// routing towards LID index `x` must ignore the cable.
+    fn build_masks(topo: &Topology) -> Result<Vec<Vec<bool>>, RouteError> {
         let hx = topo
             .meta
             .as_hyperx()
             .ok_or(RouteError::UnsupportedTopology(
                 "PARX requires a HyperX topology",
             ))?;
-        if hx.dims() != 2 || hx.shape.iter().any(|&s| s % 2 != 0) {
+        if hx.shape.iter().any(|&s| s % 2 != 0) {
             return Err(RouteError::UnsupportedTopology(
-                "PARX prototype supports 2-D HyperX with even dimensions",
+                "PARX requires even extents in every dimension",
             ));
         }
-        let (sx, sy) = (hx.shape[0], hx.shape[1]);
-        let mut masks = [(); 4].map(|_| vec![true; topo.num_links()]);
+        let rules: Vec<HalfRule> = (0..2 * hx.dims() as u8)
+            .filter_map(|x| HalfRule::of_lid(x, hx.dims()))
+            .collect();
+        let mut masks = vec![vec![true; topo.num_links()]; rules.len()];
         for (id, link) in topo.links() {
             let (Some(a), Some(b)) = (link.a.switch(), link.b.switch()) else {
                 continue; // terminal cables are never removed
             };
             let (ca, cb) = (hx.coord(a), hx.coord(b));
-            for x in 0u8..4 {
-                // Indices without a rule (non-LMC-2 spaces) remove nothing:
-                // their LIDs simply route minimally.
-                let Some(half) = rule_for_lid(x) else {
-                    continue;
-                };
-                let inside = |c: &[u32]| match half {
-                    RemovedHalf::Left => c[0] < sx / 2,
-                    RemovedHalf::Right => c[0] >= sx / 2,
-                    RemovedHalf::Top => c[1] < sy / 2,
-                    RemovedHalf::Bottom => c[1] >= sy / 2,
-                };
-                if inside(&ca) && inside(&cb) {
-                    masks[x as usize][id.idx()] = false;
+            for (mask, r) in masks.iter_mut().zip(&rules) {
+                if r.contains(&ca, &hx.shape) && r.contains(&cb, &hx.shape) {
+                    mask[id.idx()] = false;
                 }
             }
         }
@@ -95,15 +122,25 @@ impl RoutingEngine for Parx {
     }
 
     fn with_demand(&self, demand: Demand) -> Option<Box<dyn RoutingEngine>> {
-        Some(Box::new(Parx::with_demand(demand)))
+        Some(Box::new(Parx {
+            demand: Some(demand),
+            ..self.clone()
+        }))
     }
 
     fn route(&self, topo: &Topology) -> Result<Routes, RouteError> {
         let masks = Self::build_masks(topo)?;
-        let lid_map = LidMap::new(topo, 2, LidPolicy::QuadrantBlocks);
-        let mut routes = Routes::new(topo, lid_map, "parx");
+        let rules = masks.len() as u32;
+        // LMC large enough for 2L virtual LIDs per node (2 on the paper's
+        // plane).
+        let lmc = (usize::BITS - (masks.len() - 1).leading_zeros()) as u8;
+        let policy = if LidMap::quadrant_blocks_fit(topo, lmc) {
+            LidPolicy::QuadrantBlocks
+        } else {
+            LidPolicy::Sequential
+        };
+        let mut routes = Routes::new(topo, LidMap::new(topo, lmc, policy), "parx");
         let mut weights = EdgeWeights::new(topo);
-
         let norm = self.demand.as_ref().map(|d| d.normalized());
 
         // Destination order: demand-listed nodes first (profile order), then
@@ -119,57 +156,38 @@ impl RoutingEngine for Parx {
         }
         let rest: Vec<NodeId> = topo.nodes().filter(|n| !is_listed[n.idx()]).collect();
 
-        for (phase_listed, dests) in [(true, &listed), (false, &rest)] {
-            for &nd in dests {
-                let (dsw, dlink) = topo.node_switch(nd);
-                for x in 0u32..4 {
-                    let lid = routes.lid_map.lid(nd, x);
-                    // Temporary graph I* with rule-R(x) links removed.
-                    let tree = dijkstra_to_dest(topo, dsw, &weights, Some(&masks[x as usize]));
-                    install_tree(&mut routes, &tree, lid, dlink);
+        for &nd in listed.iter().chain(&rest) {
+            let (dsw, _) = topo.node_switch(nd);
+            // Who adds weight to this destination's paths: the senders of a
+            // listed destination their normalized demand, everyone else +1.
+            let senders: Box<dyn Iterator<Item = (NodeId, u64)>> = match &norm {
+                Some(norm) if is_listed[nd.idx()] => {
+                    Box::new(norm.senders_to(nd).map(|(n, w)| (n, w as u64)))
+                }
+                _ => Box::new(topo.nodes().map(|n| (n, 1))),
+            };
+            let senders: Vec<(SwitchId, u64)> = senders
+                .map(|(n, w)| (topo.node_switch(n).0, w))
+                .filter(|&(ssw, _)| ssw != dsw)
+                .collect();
+            for x in 0..rules {
+                let lid = routes.lid_map.lid(nd, x);
+                // Temporary graph I* with rule-x links removed.
+                install_masked_tree(topo, &mut routes, &weights, &masks[x as usize], lid, nd);
 
-                    // Fault tolerance (paper footnote 7): switches isolated
-                    // by the removal fall back to the unrestricted graph.
-                    if tree
-                        .out
-                        .iter()
-                        .enumerate()
-                        .any(|(s, o)| o.is_none() && s != dsw.idx())
-                    {
-                        let full = dijkstra_to_dest(topo, dsw, &weights, None);
-                        for s in topo.switches() {
-                            if s != dsw && !tree.reachable(s) {
-                                if let Some(link) = full.out[s.idx()] {
-                                    routes.set(s, lid, link);
-                                }
-                            }
-                        }
-                    }
-
-                    // Edge-weight update before the next round.
-                    if phase_listed {
-                        let norm = norm.as_ref().expect("listed phase implies demand");
-                        for (nx, w) in norm.senders_to(nd) {
-                            if nx == nd {
-                                continue;
-                            }
-                            let (ssw, _) = topo.node_switch(nx);
-                            if ssw == dsw {
-                                continue;
-                            }
-                            walk_lft(topo, &routes, ssw, lid, |dl| weights.add(dl, w as u64))?;
-                        }
-                    } else {
-                        for nx in topo.nodes() {
-                            if nx == nd {
-                                continue;
-                            }
-                            let (ssw, _) = topo.node_switch(nx);
-                            if ssw == dsw {
-                                continue;
-                            }
-                            walk_lft(topo, &routes, ssw, lid, |dl| weights.add(dl, 1))?;
-                        }
+                // Edge-weight update before the next round.
+                for &(ssw, w) in &senders {
+                    walk_lft(topo, &routes, ssw, lid, |dl| weights.add(dl, w))?;
+                }
+            }
+            // Unused LID slots (2^lmc may exceed 2L): mirror LID0 so
+            // round-robin PMLs stay functional.
+            for x in rules..routes.lid_map.lids_per_node() {
+                let lid0 = routes.lid_map.lid(nd, 0);
+                let lid = routes.lid_map.lid(nd, x);
+                for s in topo.switches() {
+                    if let Some(out) = routes.get(s, lid0) {
+                        routes.set(s, lid, out);
                     }
                 }
             }
@@ -187,9 +205,30 @@ mod tests {
     use super::*;
     use crate::table1::{lid_choices, SizeClass};
     use crate::verify::{verify_deadlock_free, verify_paths};
-    use hxtopo::hyperx::{HyperXConfig, Quadrant};
+    use hxtopo::hyperx::HyperXConfig;
     use hxtopo::props::bfs_dist;
-    use hxtopo::SwitchId;
+
+    /// Valid LID indices for a source/destination coordinate pair and size
+    /// class on an L-dimensional even HyperX (generalized Table 1):
+    ///
+    /// * **small** messages may use any LID whose rule does not confine both
+    ///   endpoints (a minimal path survives: cross the rule's dimension first,
+    ///   then stay outside the removed half),
+    /// * **large** messages prefer LIDs whose removed half contains *both*
+    ///   endpoints, forcing the Figure-3b detour; when source and destination
+    ///   sit in opposite halves of every dimension no such rule exists and the
+    ///   selection degrades to a minimal LID — exactly like the off-diagonal
+    ///   minimal entries of Table 1b.
+    fn lid_choices_nd(shape: &[u32], src: &[u32], dst: &[u32], size: SizeClass) -> Vec<u8> {
+        let (detours, minimal): (Vec<u8>, Vec<u8>) = (0..2 * shape.len() as u8).partition(|&x| {
+            HalfRule::of_lid(x, shape.len())
+                .is_some_and(|r| r.contains(src, shape) && r.contains(dst, shape))
+        });
+        match size {
+            SizeClass::Large if !detours.is_empty() => detours,
+            _ => minimal,
+        }
+    }
 
     fn small_hx() -> Topology {
         HyperXConfig::new(vec![4, 4], 2).build()
@@ -206,11 +245,56 @@ mod tests {
 
     #[test]
     fn parx_rejects_odd_dimensions() {
-        let t = HyperXConfig::new(vec![3, 4], 1).build();
-        assert!(matches!(
-            Parx::default().route(&t),
-            Err(RouteError::UnsupportedTopology(_))
-        ));
+        for shape in [vec![3, 4], vec![4, 4, 3]] {
+            let t = HyperXConfig::new(shape, 1).build();
+            assert!(matches!(
+                Parx::default().route(&t),
+                Err(RouteError::UnsupportedTopology(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn half_rules_encode_r1_to_r4_and_stop_at_2l() {
+        // L = 2: LID0 left, LID1 right, LID2 top, LID3 bottom.
+        let r = |x| HalfRule::of_lid(x, 2).unwrap();
+        assert_eq!(
+            r(0),
+            HalfRule {
+                dim: 0,
+                upper: false
+            }
+        );
+        assert_eq!(
+            r(1),
+            HalfRule {
+                dim: 0,
+                upper: true
+            }
+        );
+        assert_eq!(
+            r(2),
+            HalfRule {
+                dim: 1,
+                upper: false
+            }
+        );
+        assert_eq!(
+            r(3),
+            HalfRule {
+                dim: 1,
+                upper: true
+            }
+        );
+        for dims in 1..=3 {
+            for x in 0..2 * dims as u8 {
+                assert_eq!(HalfRule::of_lid(x, dims).unwrap().lid(), x);
+            }
+            // Indices past the rule set carry no removal and never abort.
+            for x in 2 * dims as u8..=u8::MAX {
+                assert_eq!(HalfRule::of_lid(x, dims), None);
+            }
+        }
     }
 
     #[test]
@@ -292,7 +376,6 @@ mod tests {
             first_isl.len() >= 2,
             "PARX should provide disjoint alternatives, got {first_isl:?}"
         );
-        let _ = Quadrant::Q0;
     }
 
     #[test]
@@ -356,6 +439,98 @@ mod tests {
             let q = hx.quadrant(t.node_switch(n).0).unwrap();
             assert_eq!(r.lid_map.quadrant_of_lid(r.lid_map.base(n)), Some(q));
         }
-        let _ = SwitchId(0);
+    }
+
+    #[test]
+    fn crowded_quadrants_fall_back_to_sequential_lids() {
+        // 250 nodes per quadrant need 1000 LIDs each, one too many for
+        // quadrant 0's block: PARX routes with sequential LIDs instead of
+        // aborting in the LID layout.
+        let t = HyperXConfig::new(vec![2, 2], 250).build();
+        let r = Parx::default().route(&t).unwrap();
+        assert_eq!(r.lid_map.policy(), LidPolicy::Sequential);
+        assert_eq!(r.lid_map.lids_per_node(), 4);
+    }
+
+    #[test]
+    fn two_d_selection_supersets_table1() {
+        // On a 2-D HyperX the generalized valid set must contain every
+        // Table-1 choice (the paper picks a balanced subset).
+        let topo = HyperXConfig::new(vec![4, 4], 1).build();
+        let hx = topo.meta.as_hyperx().unwrap().clone();
+        for a in topo.switches() {
+            for b in topo.switches() {
+                let (ca, cb) = (hx.coord(a), hx.coord(b));
+                let (qa, qb) = (hx.quadrant(a).unwrap(), hx.quadrant(b).unwrap());
+                for size in [SizeClass::Small, SizeClass::Large] {
+                    let nd = lid_choices_nd(&hx.shape, &ca, &cb, size);
+                    for &x in lid_choices(qa, qb, size) {
+                        assert!(
+                            nd.contains(&x),
+                            "{qa:?}->{qb:?} {size:?}: Table1 {x} not in nd {nd:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn three_d_routes_verify() {
+        let topo = HyperXConfig::new(vec![4, 4, 2], 1).build();
+        let routes = Parx::default().route(&topo).unwrap();
+        // 6 rules => LMC 3 => 8 LIDs per node, all must route; the 3-D
+        // fabric has no quadrants, so the LIDs are sequential.
+        assert_eq!(routes.lid_map.lids_per_node(), 8);
+        assert_eq!(routes.lid_map.policy(), LidPolicy::Sequential);
+        verify_paths(&topo, &routes).unwrap();
+        let vls = verify_deadlock_free(&topo, &routes).unwrap();
+        assert!(vls <= 8, "{vls} VLs");
+    }
+
+    #[test]
+    fn three_d_small_lids_minimal_large_detour() {
+        let topo = HyperXConfig::new(vec![4, 4, 2], 1).build();
+        let hx = topo.meta.as_hyperx().unwrap().clone();
+        let routes = Parx::default().route(&topo).unwrap();
+        let mut detours = 0usize;
+        for src in topo.nodes() {
+            let (ssw, _) = topo.node_switch(src);
+            let dist = bfs_dist(&topo, ssw);
+            let cs = hx.coord(ssw);
+            for dst in topo.nodes() {
+                if src == dst {
+                    continue;
+                }
+                let (dsw, _) = topo.node_switch(dst);
+                if dsw == ssw {
+                    continue;
+                }
+                let cd = hx.coord(dsw);
+                let minimal = dist[dsw.idx()];
+                for &x in &lid_choices_nd(&hx.shape, &cs, &cd, SizeClass::Small) {
+                    let p = routes.path_to(&topo, src, dst, x as u32).unwrap();
+                    assert_eq!(p.isl_hops(), minimal, "small {src}->{dst} LID{x}");
+                }
+                for &x in &lid_choices_nd(&hx.shape, &cs, &cd, SizeClass::Large) {
+                    let p = routes.path_to(&topo, src, dst, x as u32).unwrap();
+                    assert!(p.isl_hops() >= minimal);
+                    if p.isl_hops() > minimal {
+                        detours += 1;
+                    }
+                }
+            }
+        }
+        assert!(detours > 0, "3-D detours must exist");
+    }
+
+    #[test]
+    fn one_d_hyperx_works() {
+        // 1-D even HyperX: two rules, LMC 1.
+        let topo = HyperXConfig::new(vec![6], 2).build();
+        let routes = Parx::default().route(&topo).unwrap();
+        assert_eq!(routes.lid_map.lids_per_node(), 2);
+        verify_paths(&topo, &routes).unwrap();
+        verify_deadlock_free(&topo, &routes).unwrap();
     }
 }

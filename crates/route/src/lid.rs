@@ -89,6 +89,23 @@ impl LidMap {
         }
     }
 
+    /// Whether `topo` admits the [`LidPolicy::QuadrantBlocks`] layout at
+    /// this LMC: a 2-D even-extent HyperX whose quadrants each fit their
+    /// 1000-LID block (quadrant 0 also keeps LID 0 reserved).
+    pub fn quadrant_blocks_fit(topo: &Topology, lmc: u8) -> bool {
+        let Some(hx) = topo.meta.as_hyperx() else {
+            return false;
+        };
+        let mut used = [1u32, 0, 0, 0];
+        for node in topo.nodes() {
+            let Ok(q) = hx.quadrant(topo.node_switch(node).0) else {
+                return false;
+            };
+            used[q.index()] += 1;
+        }
+        used.iter().all(|&u| u << lmc <= 1000)
+    }
+
     /// Number of LIDs each node owns.
     #[inline]
     pub fn lids_per_node(&self) -> u32 {
@@ -215,5 +232,33 @@ mod tests {
         let t = hx();
         let m = LidMap::new(&t, 2, LidPolicy::Sequential);
         assert_eq!(m.quadrant_of_lid(1), None);
+    }
+
+    #[test]
+    fn quadrant_blocks_fit_only_where_the_layout_exists() {
+        let t = hx();
+        // 168 nodes per quadrant: 672 LIDs at LMC 2, 1344 at LMC 3.
+        assert!(LidMap::quadrant_blocks_fit(&t, 2));
+        assert!(!LidMap::quadrant_blocks_fit(&t, 3));
+        // Quadrant 0 keeps LID 0 reserved: 249 nodes fill its block exactly
+        // (4 + 996 LIDs), 250 overflow it although they fit the others.
+        let full = HyperXConfig::new(vec![2, 2], 249).build();
+        assert!(LidMap::quadrant_blocks_fit(&full, 2));
+        assert_eq!(
+            LidMap::new(&full, 2, LidPolicy::QuadrantBlocks).lid_space(),
+            3996
+        );
+        assert!(!LidMap::quadrant_blocks_fit(
+            &HyperXConfig::new(vec![2, 2], 250).build(),
+            2
+        ));
+        assert!(!LidMap::quadrant_blocks_fit(
+            &HyperXConfig::new(vec![4, 4, 2], 1).build(),
+            2
+        ));
+        assert!(!LidMap::quadrant_blocks_fit(
+            &HyperXConfig::new(vec![3, 4], 1).build(),
+            2
+        ));
     }
 }

@@ -76,48 +76,24 @@ pub fn select_lid(src: Quadrant, dst: Quadrant, size: SizeClass, discriminator: 
     choices[(discriminator % choices.len() as u64) as usize]
 }
 
-/// The link-removal half associated with each LID index (rules R1–R4 of
-/// Section 3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemovedHalf {
-    /// R1: LID0 removes all links within the left half (`x < S1/2`).
-    Left,
-    /// R2: LID1 removes all links within the right half.
-    Right,
-    /// R3: LID2 removes all links within the top half (`y < S2/2`).
-    Top,
-    /// R4: LID3 removes all links within the bottom half.
-    Bottom,
-}
-
-/// Rule applied when routing towards LID index `x`. `None` for indices
-/// outside the LMC=2 space — rules R1–R4 only cover four LIDs, and a
-/// non-LMC-2 deployment must not abort the sweep that asks.
-pub fn rule_for_lid(x: u8) -> Option<RemovedHalf> {
-    match x {
-        0 => Some(RemovedHalf::Left),
-        1 => Some(RemovedHalf::Right),
-        2 => Some(RemovedHalf::Top),
-        3 => Some(RemovedHalf::Bottom),
-        _ => None,
-    }
-}
-
-/// Is a quadrant inside a half? (`Q0` left-top, `Q1` left-bottom, `Q2`
-/// right-bottom, `Q3` right-top.)
-pub fn quadrant_in_half(q: Quadrant, h: RemovedHalf) -> bool {
-    match h {
-        RemovedHalf::Left => matches!(q, Quadrant::Q0 | Quadrant::Q1),
-        RemovedHalf::Right => matches!(q, Quadrant::Q2 | Quadrant::Q3),
-        RemovedHalf::Top => matches!(q, Quadrant::Q0 | Quadrant::Q3),
-        RemovedHalf::Bottom => matches!(q, Quadrant::Q1 | Quadrant::Q2),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::HalfRule;
     use hxtopo::hyperx::Quadrant::*;
+
+    /// Whether quadrant `q` of a 2-D HyperX lies inside the half that rule
+    /// `h` removes (`Q0` left-top, `Q1` left-bottom, `Q2` right-bottom,
+    /// `Q3` right-top), judged on a quadrant's switch of a 2x2 shape.
+    fn quadrant_in_half(q: Quadrant, h: HalfRule) -> bool {
+        let coord = match q {
+            Q0 => [0, 0],
+            Q1 => [0, 1],
+            Q2 => [1, 1],
+            Q3 => [1, 0],
+        };
+        h.contains(&coord, &[2, 2])
+    }
 
     #[test]
     fn size_classification() {
@@ -174,7 +150,7 @@ mod tests {
         for s in Quadrant::all() {
             for d in Quadrant::all() {
                 for &x in lid_choices(s, d, SizeClass::Small) {
-                    let h = rule_for_lid(x).unwrap();
+                    let h = HalfRule::of_lid(x, 2).unwrap();
                     let both_inside = quadrant_in_half(s, h) && quadrant_in_half(d, h);
                     assert!(
                         !both_inside,
@@ -191,7 +167,7 @@ mod tests {
         // rule removes that quadrant's half, forcing the detour of Fig. 3b.
         for q in Quadrant::all() {
             for &x in lid_choices(q, q, SizeClass::Large) {
-                let h = rule_for_lid(x).unwrap();
+                let h = HalfRule::of_lid(x, 2).unwrap();
                 assert!(
                     quadrant_in_half(q, h),
                     "large {q:?}->{q:?} via LID{x} does not evict the quadrant"
@@ -229,18 +205,27 @@ mod tests {
 
     #[test]
     fn rules_cover_all_halves() {
-        assert_eq!(rule_for_lid(0), Some(RemovedHalf::Left));
-        assert_eq!(rule_for_lid(1), Some(RemovedHalf::Right));
-        assert_eq!(rule_for_lid(2), Some(RemovedHalf::Top));
-        assert_eq!(rule_for_lid(3), Some(RemovedHalf::Bottom));
+        // R1–R4: LID0 removes the left half, LID1 the right, LID2 the top,
+        // LID3 the bottom.
+        let halves: Vec<Vec<Quadrant>> = (0..4)
+            .map(|x| {
+                let h = HalfRule::of_lid(x, 2).unwrap();
+                Quadrant::all()
+                    .into_iter()
+                    .filter(|&q| quadrant_in_half(q, h))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(halves, [[Q0, Q1], [Q2, Q3], [Q0, Q3], [Q1, Q2]]);
     }
 
     #[test]
     fn out_of_range_lid_has_no_rule() {
-        // Non-LMC-2 LID spaces (indices >= 4) carry no removal rule; the
-        // query must answer None rather than aborting the sweep.
+        // Non-LMC-2 LID spaces (indices >= 4) carry no removal rule on the
+        // paper's 2-D plane; the query must answer None rather than
+        // aborting the sweep.
         for x in 4..=u8::MAX {
-            assert_eq!(rule_for_lid(x), None);
+            assert_eq!(HalfRule::of_lid(x, 2), None);
         }
     }
 }

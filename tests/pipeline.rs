@@ -1,6 +1,6 @@
 //! Integration tests for the extended pipeline: profile recording →
-//! demand-aware PARX re-routing, the adaptive-routing model, the n-D PARX
-//! generalization, and the cost/dark-fiber analyses.
+//! demand-aware PARX re-routing, the adaptive-routing model, and the
+//! cost/dark-fiber analyses.
 
 use t2hx::core::{Combo, T2hx};
 use t2hx::load::profile::RankProfile;
@@ -8,11 +8,9 @@ use t2hx::load::proxy::Swfft;
 use t2hx::load::workload::Workload;
 use t2hx::mpi::rounds::{estimate_adaptive, estimate_detailed};
 use t2hx::mpi::RoundProgram;
-use t2hx::route::engines::{ParxNd, RoutingEngine};
 use t2hx::route::{verify_deadlock_free, verify_paths};
 use t2hx::sim::stats::LinkUsage;
 use t2hx::topo::cost::{BillOfMaterials, CostModel};
-use t2hx::topo::hyperx::HyperXConfig;
 
 #[test]
 fn profile_reroute_pipeline_keeps_correctness() {
@@ -63,15 +61,6 @@ fn adaptive_never_loses_to_static_on_congested_patterns() {
             "{bytes}B: adaptive {adaptive} vs static {static_t}"
         );
     }
-}
-
-#[test]
-fn parx_nd_matches_parx_spirit_in_3d() {
-    let topo = HyperXConfig::new(vec![4, 4, 2], 1).build();
-    let routes = ParxNd::default().route(&topo).unwrap();
-    verify_paths(&topo, &routes).unwrap();
-    let vls = verify_deadlock_free(&topo, &routes).unwrap();
-    assert!(vls <= 8);
 }
 
 #[test]
